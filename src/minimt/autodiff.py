@@ -9,7 +9,6 @@ order. All arithmetic is float64.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -529,8 +528,3 @@ def grad_check(f, inputs, h: float = 1e-5, tolerance: float = 1e-6) -> GradCheck
 
     return GradCheckReport(max_rel_error=overall, tolerance=tolerance,
                            passed=overall < tolerance, inputs=checks)
-
-
-def log_v_uniform(vocab_size: int) -> float:
-    """Cross entropy of the uniform distribution: the loss of an untrained model."""
-    return math.log(vocab_size)

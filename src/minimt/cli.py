@@ -11,10 +11,9 @@ import logging
 import sys
 from pathlib import Path
 
-from minimt.config import ConfigError, load_config
+from minimt.config import ConfigError, decode_config, load_config
 from minimt.data import Vocabulary, read_lines
 from minimt.evaluation import corpus_bleu
-from minimt.decoding import DecodeConfig
 from minimt.experiment import (
     ExperimentRunner,
     StageFailure,
@@ -70,11 +69,7 @@ def cmd_translate(args) -> int:
         raise ConfigError(f"{args.vocab}: vocabulary does not match the checkpoint fingerprint")
     model = _model_from_checkpoint(args.checkpoint)
     max_len = meta["model_config"]["max_len"]
-    decode_cfg = DecodeConfig(
-        eos_id=vocab.eos_id, start_id=vocab.lang_id(meta["tgt_lang"]),
-        beam_size=args.beam_size, length_penalty=args.length_penalty,
-        max_decode_len=min(args.max_decode_len, max_len - 1),
-        penalty_form=args.penalty_form)
+    decode_cfg = decode_config(args, vocab, meta["tgt_lang"], max_len)
     lines = read_lines(args.input)
     with open(args.output, "w", encoding="utf-8") as f:
         for line in lines:

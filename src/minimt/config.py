@@ -1,17 +1,20 @@
 """Experiment configuration: a flat JSON file mirrored by dataclasses.
 
 Unknown keys are errors, so typos never silently fall back to defaults, and
-a loaded config round-trips through ``to_dict``/``save`` losslessly.
+out-of-range values are rejected when the file loads. A loaded config
+round-trips through ``to_dict``/``save`` losslessly. ``runtime_config``
+turns a section into the dataclass a module consumes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from minimt.data import SplitConfig, Vocabulary
+from minimt.data import Vocabulary
 from minimt.decoding import DecodeConfig
 from minimt.model import ModelConfig
 from minimt.training import OptimizerConfig, TrainConfig
@@ -36,8 +39,42 @@ def _from_dict(cls, payload, path):
             kwargs[f.name] = _from_dict(nested, value, f"{path}.{f.name}") if nested else value
     try:
         return cls(**kwargs)
-    except TypeError as e:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from None
+
+
+def runtime_config(cls, settings, **derived):
+    """Build ``cls`` from the fields it declares: ``derived`` values first,
+    then same-named attributes of ``settings`` (a config section or parsed
+    command-line arguments); fields found in neither keep their defaults."""
+    kwargs = {f.name: getattr(settings, f.name) for f in dataclasses.fields(cls)
+              if f.name not in derived and hasattr(settings, f.name)}
+    return cls(**kwargs, **derived)
+
+
+def decode_config(settings, vocabulary: Vocabulary, target_language: str,
+                  max_len: int) -> DecodeConfig:
+    """Decode settings for one target language; generation stops one short
+    of the model's ``max_len`` so the start token still fits."""
+    return runtime_config(DecodeConfig, settings, eos_id=vocabulary.eos_id,
+                          start_id=vocabulary.lang_id(target_language),
+                          max_decode_len=min(settings.max_decode_len, max_len - 1))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON. The text goes to a
+    temporary file beside ``path`` that then replaces it, so readers see
+    either the old file or the new one, never a truncated one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -81,14 +118,6 @@ class TrainSection:
 
 
 @dataclass
-class OptimizerSection:
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass
 class DecodeSection:
     beam_size: int = 2
     length_penalty: float = 1.2
@@ -112,7 +141,7 @@ class ExperimentConfig:
     data: DataSection = field(default_factory=DataSection)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainSection = field(default_factory=TrainSection)
-    optimizer: OptimizerSection = field(default_factory=OptimizerSection)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     decode: DecodeSection = field(default_factory=DecodeSection)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
 
@@ -128,14 +157,23 @@ class ExperimentConfig:
             raise ConfigError(f"train.freeze must be 'first_half' or 'none', got {self.train.freeze!r}")
         if self.evaluation.aggregate not in ("corpus", "macro"):
             raise ConfigError(f"evaluation.aggregate must be 'corpus' or 'macro'")
+        # build each runtime config once, with placeholders for the values
+        # the runner derives, so a bad value fails here and not mid-experiment
+        checks = [("model", ModelConfig, {"vocab_size": 1}), ("train", TrainConfig, {}),
+                  ("decode", DecodeConfig, {"eos_id": 0, "start_id": 0})]
+        if self.train.mtl_batch_size is not None:
+            checks.append(("train", TrainConfig, {"batch_size": self.train.mtl_batch_size}))
+        for section, cls, placeholders in checks:
+            try:
+                runtime_config(cls, getattr(self, section), **placeholders)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"config.{section}: {e}") from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     def validate_files(self) -> None:
         paths = [self.data.parallel_src_file, self.data.parallel_tgt_file,
@@ -153,7 +191,7 @@ _SECTION_TYPES = {
     (ExperimentConfig, "data"): DataSection,
     (ExperimentConfig, "model"): ModelSection,
     (ExperimentConfig, "train"): TrainSection,
-    (ExperimentConfig, "optimizer"): OptimizerSection,
+    (ExperimentConfig, "optimizer"): OptimizerConfig,
     (ExperimentConfig, "decode"): DecodeSection,
     (ExperimentConfig, "evaluation"): EvaluationSection,
 }
@@ -172,49 +210,3 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
-# --- adapters to the runtime configs -------------------------------------------
-
-
-def build_model_config(config: ExperimentConfig, vocab_size: int) -> ModelConfig:
-    m = config.model
-    return ModelConfig(vocab_size=vocab_size, d_model=m.d_model, n_heads=m.n_heads,
-                       n_enc_layers=m.n_enc_layers, n_dec_layers=m.n_dec_layers,
-                       d_ff=m.d_ff, max_len=m.max_len, dropout_rate=m.dropout_rate,
-                       seed=config.seed, tie_projections=m.tie_projections)
-
-
-def build_train_config(config: ExperimentConfig, regime: str) -> TrainConfig:
-    t = config.train
-    batch = t.batch_size
-    if regime == "mtl" and t.mtl_batch_size is not None:
-        batch = t.mtl_batch_size
-    return TrainConfig(steps=t.steps, epochs=t.epochs, batch_size=batch,
-                       clm_batch_size=t.clm_batch_size, max_len=config.model.max_len,
-                       seed=config.seed, log_interval=t.log_interval,
-                       checkpoint_interval=t.checkpoint_interval, mixing=t.mixing,
-                       clm_loss_weight=t.clm_loss_weight, clip_norm=t.clip_norm)
-
-
-def build_optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
-    o = config.optimizer
-    return OptimizerConfig(lr=o.lr, beta1=o.beta1, beta2=o.beta2, eps=o.eps)
-
-
-def build_decode_config(config: ExperimentConfig, vocabulary: Vocabulary,
-                        target_language: str) -> DecodeConfig:
-    d = config.decode
-    return DecodeConfig(eos_id=vocabulary.eos_id, start_id=vocabulary.lang_id(target_language),
-                        beam_size=d.beam_size, length_penalty=d.length_penalty,
-                        max_decode_len=min(d.max_decode_len, config.model.max_len - 1),
-                        penalty_form=d.penalty_form,
-                        penalize_during_search=d.penalize_during_search)
-
-
-def parallel_split_config(config: ExperimentConfig) -> SplitConfig:
-    a, b, c = config.data.parallel_split
-    return SplitConfig(a, b, c, seed=config.seed)
-
-
-def mono_split_config(config: ExperimentConfig) -> SplitConfig:
-    a, b, c = config.data.mono_split
-    return SplitConfig(a, b, c, seed=config.seed)

@@ -163,25 +163,12 @@ def _source_ids(source):
     return source.ids if isinstance(source, TokenSequence) else list(source)
 
 
-def _in_eval_mode(model):
-    class _Guard:
-        def __enter__(self_inner):
-            self_inner.was_training = model.training
-            model.eval()
-
-        def __exit__(self_inner, *exc):
-            if self_inner.was_training:
-                model.train()
-
-    return _Guard()
-
-
 def greedy_decode(model, source, config: DecodeConfig) -> Hypothesis:
-    with _in_eval_mode(model):
+    with model.eval_mode():
         return greedy_search(_translation_stepper(model, _source_ids(source), config), config)
 
 
 def beam_search(model, source, config: DecodeConfig) -> list:
     """Ranked completed hypotheses for one framed source row."""
-    with _in_eval_mode(model):
+    with model.eval_mode():
         return search(_translation_stepper(model, _source_ids(source), config), config)

@@ -11,27 +11,24 @@ fingerprint of the configuration that feeds them.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
 from pathlib import Path
 
-import numpy as np
-
 from minimt import synthetic
 from minimt.config import (
     ConfigError,
     ExperimentConfig,
-    build_decode_config,
-    build_model_config,
-    build_optimizer_config,
-    build_train_config,
     config_from_dict,
-    mono_split_config,
-    parallel_split_config,
+    decode_config,
+    runtime_config,
+    write_json,
 )
 from minimt.data import (
     CorpusError,
+    SplitConfig,
     Vocabulary,
     build_vocab,
     encode,
@@ -46,6 +43,7 @@ from minimt.evaluation import ComparisonReport, compare_report, corpus_bleu
 from minimt.model import FreezeSpec, ModelConfig, init_params
 from minimt.training import (
     PAPER_LR,
+    TrainConfig,
     TrainData,
     config_fingerprint,
     load_checkpoint,
@@ -84,7 +82,7 @@ class ExperimentRunner:
     # --- stage machinery -----------------------------------------------------
 
     def _save_manifest(self):
-        self.manifest_path.write_text(json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
+        write_json(self.manifest_path, self.manifest)
 
     def _stage(self, name: str, fingerprint: str, outputs, build) -> bool:
         """Run ``build`` unless this stage already completed with the same
@@ -146,12 +144,13 @@ class ExperimentRunner:
                     raise CorpusError(f"corpus {corpus!r}: {e}") from None
                 payload = {"corpus": corpus, "n_lines": n_lines, "seed": split_cfg.seed,
                            "sizes": split_cfg.sizes(), "indices": idx}
-                self._manifest_file(corpus).write_text(
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                write_json(self._manifest_file(corpus), payload)
 
-            write_manifest("parallel", len(src_lines), parallel_split_config(self.config))
+            seed = self.config.seed
+            write_manifest("parallel", len(src_lines), SplitConfig(*data.parallel_split, seed=seed))
             for lang in mono_langs:
-                write_manifest(f"mono_{lang}", len(mono_lines[lang]), mono_split_config(self.config))
+                write_manifest(f"mono_{lang}", len(mono_lines[lang]),
+                               SplitConfig(*data.mono_split, seed=seed))
 
         return self._stage("prepare", fp, outputs, build)
 
@@ -182,51 +181,55 @@ class ExperimentRunner:
     def train(self, direction: str, regime: str) -> Path:
         if regime not in ("baseline", "mtl"):
             raise ConfigError(f"regime must be 'baseline' or 'mtl', got {regime!r}")
+        config, seed = self.config, self.config.seed
         run_dir = self._run_dir(direction, regime)
         ckpt_path = run_dir / "checkpoint.npz"
         log_path = run_dir / "metrics.tsv"
-        train_cfg = build_train_config(self.config, regime)
+        sections = config.to_dict()
         fp = config_fingerprint({
             "prepare": self._prepare_fingerprint(), "direction": direction, "regime": regime,
-            "model": self.config.to_dict()["model"], "train": self.config.to_dict()["train"],
-            "optimizer": self.config.to_dict()["optimizer"], "seed": self.config.seed})
+            "model": sections["model"], "train": sections["train"],
+            "optimizer": sections["optimizer"], "seed": seed})
 
         def build():
             src_lang, tgt_lang, src_file, tgt_file = self._direction_files(direction)
             if regime == "mtl":
-                missing = [l for l in (src_lang, tgt_lang) if l not in self.config.data.mono_files]
+                missing = [l for l in (src_lang, tgt_lang) if l not in config.data.mono_files]
                 if missing:
                     raise ConfigError(
                         f"multitask training needs monolingual corpora for {missing}; "
                         "set data.mono_files")
             run_dir.mkdir(parents=True, exist_ok=True)
             vocab = self._load_vocab()
-            parallel = load_parallel(src_file, tgt_file, parallel_split_config(self.config),
+            parallel = load_parallel(src_file, tgt_file,
+                                     SplitConfig(*config.data.parallel_split, seed=seed),
                                      vocab, src_lang, tgt_lang,
                                      indices=self._load_indices("parallel"))
             mono = {}
             if regime == "mtl":
                 for lang in (src_lang, tgt_lang):
                     mono[lang] = load_monolingual(
-                        self.config.data.mono_files[lang], mono_split_config(self.config),
+                        config.data.mono_files[lang], SplitConfig(*config.data.mono_split, seed=seed),
                         vocab, lang, indices=self._load_indices(f"mono_{lang}"))
-            model = init_params(build_model_config(self.config, len(vocab)),
-                                multitask=(regime == "mtl"))
+            model_cfg = runtime_config(ModelConfig, config.model, vocab_size=len(vocab), seed=seed)
+            model = init_params(model_cfg, multitask=(regime == "mtl"))
             freeze = (FreezeSpec.first_half_encoder(model)
-                      if self.config.train.freeze == "first_half" else FreezeSpec.none())
-            log_path.unlink(missing_ok=True)
-            train_loop(model, TrainData(vocab, parallel, mono), train_cfg,
-                       build_optimizer_config(self.config), freeze_spec=freeze,
-                       log_path=log_path, checkpoint_path=ckpt_path)
-            # decorate the checkpoint with what translate needs to stand alone
-            ckpt = load_checkpoint(ckpt_path)
+                      if config.train.freeze == "first_half" else FreezeSpec.none())
+            t = config.train
+            batch_size = (t.mtl_batch_size if regime == "mtl" and t.mtl_batch_size is not None
+                          else t.batch_size)
+            train_cfg = runtime_config(TrainConfig, t, batch_size=batch_size,
+                                       max_len=config.model.max_len, seed=seed)
+            # what translate needs to stand alone
             meta = {"src_lang": src_lang, "tgt_lang": tgt_lang, "regime": regime,
                     "vocab_sha": _sha256_file(self.vocab_path),
-                    "tokenize_mode": self.config.data.tokenize_mode,
-                    "model_config": self.config.to_dict()["model"] | {
-                        "vocab_size": len(vocab), "seed": self.config.seed},
+                    "tokenize_mode": config.data.tokenize_mode,
+                    "model_config": dataclasses.asdict(model_cfg),
                     "multitask": regime == "mtl"}
-            _rewrite_checkpoint_meta(ckpt_path, meta)
+            log_path.unlink(missing_ok=True)
+            train_loop(model, TrainData(vocab, parallel, mono), train_cfg, config.optimizer,
+                       freeze_spec=freeze, log_path=log_path, checkpoint_path=ckpt_path,
+                       meta=meta)
 
         self._stage(f"train:{direction}:{regime}", fp, [ckpt_path, log_path], build)
         return ckpt_path
@@ -250,7 +253,8 @@ class ExperimentRunner:
             src_lines = read_lines(src_file)
             tgt_lines = read_lines(tgt_file)
             model = _model_from_checkpoint(run_dir / "checkpoint.npz")
-            decode_cfg = build_decode_config(self.config, vocab, tgt_lang)
+            decode_cfg = decode_config(self.config.decode, vocab, tgt_lang,
+                                       self.config.model.max_len)
             hyps, refs = [], []
             for i in indices:
                 hyps.append(translate_line(model, src_lines[i], vocab, src_lang, decode_cfg,
@@ -285,7 +289,7 @@ class ExperimentRunner:
                        "raw_precisions": report.raw_precisions,
                        "smoothed_precisions": report.smoothed_precisions,
                        "note": report.note}
-            bleu_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            write_json(bleu_path, payload)
 
         self._stage(f"evaluate:{direction}:{regime}", fp, [bleu_path], build)
         return bleu_path
@@ -296,8 +300,7 @@ class ExperimentRunner:
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest["config_fingerprint"] = config_fingerprint(self.config.to_dict())
         self.manifest["seed"] = self.config.seed
-        (self.out / "config.json").write_text(
-            json.dumps(self.config.to_dict(), indent=2, sort_keys=True) + "\n")
+        self.config.save(self.out / "config.json")
         self.prepare()
         baseline_scores, mtl_scores = {}, {}
         for direction in self.config.directions:
@@ -311,17 +314,6 @@ class ExperimentRunner:
         (self.out / "report.tsv").write_text(report.render_rows(scale=100) + "\n")
         self._save_manifest()
         return report
-
-
-def _rewrite_checkpoint_meta(path, meta: dict) -> None:
-    archive = np.load(path, allow_pickle=False)
-    arrays = {k: archive[k] for k in archive.files if k != "__header__"}
-    header = json.loads(bytes(archive["__header__"]).decode())
-    header["meta"] = meta
-    arrays["__header__"] = np.frombuffer(
-        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
 
 
 def _model_from_checkpoint(path):

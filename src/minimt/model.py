@@ -10,6 +10,7 @@ is shared between input lookups and (by default) every output projection.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,6 +267,17 @@ class _TransformerBase:
         self.training = False
         return self
 
+    @contextmanager
+    def eval_mode(self):
+        """Eval mode inside the block; the previous mode comes back on exit,
+        also when the block raises."""
+        was_training = self.training
+        self.eval()
+        try:
+            yield
+        finally:
+            self.training = was_training
+
     def _drop(self, x):
         if self.training and self.config.dropout_rate > 0.0:
             return ad.dropout(x, self.config.dropout_rate, self._dropout_rng)
@@ -368,14 +380,6 @@ def clm_forward(model: MtlModel, batch: MonoBatch) -> Tensor:
     return model.clm_logits(batch)
 
 
-def encoder_forward(model, src_ids: np.ndarray, src_mask: np.ndarray) -> Tensor:
-    return model.encode_source(src_ids, src_mask)
-
-
-def decoder_forward(model, decoder, tgt_ids, enc_states, enc_mask) -> Tensor:
-    return model._decode(decoder, tgt_ids, enc_states, enc_mask)
-
-
 @dataclass
 class FreezeSpec:
     """Exact parameter names excluded from optimization."""
@@ -397,9 +401,12 @@ class FreezeSpec:
 
 
 def apply_freeze(model, spec: FreezeSpec) -> list:
-    """Return (name, tensor) pairs that remain trainable under ``spec``."""
+    """Stop gradients to the parameters ``spec`` names, re-enable them on all
+    others, and return the (name, tensor) pairs that remain trainable."""
     params = model.param_dict()
     unknown = spec.frozen - params.keys()
     if unknown:
         raise ValueError(f"freeze spec names unknown parameters: {sorted(unknown)[:5]}")
+    for n, t in params.items():
+        t.requires_grad = n not in spec.frozen
     return [(n, t) for n, t in params.items() if n not in spec.frozen]

@@ -168,10 +168,6 @@ class Adam:
             p.data -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
 
 
-def adam_step(optimizer: Adam) -> None:
-    optimizer.step()
-
-
 def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``."""
     total = 0.0
@@ -260,32 +256,20 @@ def validation_loss(model, data: TrainData, config: TrainConfig):
         return None
     batches = make_batches(split, config.batch_size, data.vocabulary, config.max_len,
                            seed=[config.seed, _ROLE_VALID])
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            losses = [compute_losses(model, b).l_t for b in batches]
-    finally:
-        if was_training:
-            model.train()
+    with model.eval_mode(), no_grad():
+        losses = [compute_losses(model, b).l_t for b in batches]
     return float(np.mean(losses))
 
 
 def token_accuracy(model, batches) -> float:
     """Teacher-forced next-token accuracy over non-PAD label positions."""
     correct = total = 0
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            for b in batches:
-                pred = translation_forward(model, b).data.argmax(axis=-1)
-                mask = b.tgt_labels != b.pad_id
-                correct += int((pred[mask] == b.tgt_labels[mask]).sum())
-                total += int(mask.sum())
-    finally:
-        if was_training:
-            model.train()
+    with model.eval_mode(), no_grad():
+        for b in batches:
+            pred = translation_forward(model, b).data.argmax(axis=-1)
+            mask = b.tgt_labels != b.pad_id
+            correct += int((pred[mask] == b.tgt_labels[mask]).sum())
+            total += int(mask.sum())
     return correct / max(total, 1)
 
 
@@ -406,12 +390,14 @@ def _format_log_line(step, bd: LossBreakdown, val) -> str:
 
 def train_loop(model, data: TrainData, train_config: TrainConfig,
                optimizer_config: OptimizerConfig, freeze_spec: FreezeSpec | None = None,
-               log_path=None, checkpoint_path=None, resume_from=None) -> TrainResult:
+               log_path=None, checkpoint_path=None, resume_from=None,
+               meta: dict | None = None) -> TrainResult:
     """Run the configured number of steps (or epochs over the translation
     split). In the multitask regime every joint step consumes one parallel
     batch plus one monolingual batch per side; monolingual iterators cycle
     with a reshuffle when exhausted. Metric lines are
     step, l_t, l_clm_src, l_clm_tgt, l_mtl, validation-loss, tab separated.
+    Every checkpoint written carries ``meta`` in its header.
     """
     freeze_spec = freeze_spec or FreezeSpec.none()
     trainable = apply_freeze(model, freeze_spec)
@@ -478,10 +464,10 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
             logger.info("step %d: %s", step, line)
         if (checkpoint_path is not None and train_config.checkpoint_interval is not None
                 and step % train_config.checkpoint_interval == 0):
-            save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors())
+            save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
 
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors())
+        save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
     if log_path is not None:
         with open(log_path, "a", encoding="utf-8") as f:
             for line in log_lines:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -42,6 +43,18 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"model": {"d_modell": 8}})
 
 
+@pytest.mark.parametrize("payload, section", [
+    ({"decode": {"penalty_form": "bogus"}}, "decode"),
+    ({"train": {"mixing": "x"}}, "train"),
+    ({"train": {"mtl_batch_size": 0}}, "train"),
+    ({"model": {"d_model": 30, "n_heads": 4}}, "model"),
+    ({"optimizer": {"lr": 0}}, "optimizer"),
+])
+def test_config_rejects_bad_values(payload, section):
+    with pytest.raises(ConfigError, match=rf"^config\.{section}: "):
+        config_from_dict(payload)
+
+
 def test_config_rejects_bad_direction():
     with pytest.raises(ConfigError, match="direction"):
         config_from_dict({"directions": ["aa->zz"]})
@@ -74,6 +87,24 @@ def test_prepare_manifests_have_exact_sizes(trained_run):
     assert {k: len(v) for k, v in manifest["indices"].items()} == {
         "train": 120, "validation": 10, "test": 10}
     assert (out / "vocab.txt").exists()
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    runner = ExperimentRunner(fast_smoke(tmp_path / "run"))
+    runner.prepare()
+    before = runner.manifest_path.read_text()
+    runner.manifest["stages"]["extra"] = {}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        runner._save_manifest()
+    monkeypatch.undo()
+    assert runner.manifest_path.read_text() == before
+    assert [p.name for p in runner.out.iterdir() if p.name.endswith(".tmp")] == []
+    assert ExperimentRunner(runner.config).manifest == json.loads(before)
 
 
 def test_prepare_rerun_is_identical(tmp_path, capsys):

@@ -12,7 +12,8 @@ from minimt.data import (
     encode,
     make_batches,
 )
-from minimt.model import FreezeSpec, ModelConfig, init_params
+from minimt import training
+from minimt.model import FreezeSpec, ModelConfig, apply_freeze, init_params
 from minimt.training import (
     Adam,
     LossBreakdown,
@@ -27,6 +28,7 @@ from minimt.training import (
     token_accuracy,
     train_loop,
     train_step,
+    validation_loss,
 )
 
 WORDS = [f"w{i}" for i in range(8)]
@@ -175,7 +177,6 @@ def test_train_step_respects_freeze():
     vocab, data = toy_data()
     model = tiny_model(vocab)
     spec = FreezeSpec.first_half_encoder(model)
-    from minimt.model import apply_freeze
     opt = Adam(apply_freeze(model, spec), OptimizerConfig(lr=1e-3))
     frozen_before = {n: model.param_dict()[n].data.copy() for n in spec.frozen}
     tc = TrainConfig(steps=1, batch_size=4)
@@ -187,6 +188,32 @@ def test_train_step_respects_freeze():
     assert not np.array_equal(model.param_dict()["encoder.layers.1.attn.wq"].data,
                               frozen_before.get("encoder.layers.1.attn.wq",
                                                 model.param_dict()["encoder.layers.1.attn.wq"].data + 1))
+
+
+def test_frozen_parameters_get_no_gradient():
+    vocab, data = toy_data()
+    batches = first_batches(data, TrainConfig(steps=1, batch_size=4))
+    grads = {}
+    for frozen in (True, False):
+        model = tiny_model(vocab)
+        spec = FreezeSpec.first_half_encoder(model) if frozen else FreezeSpec.none()
+        train_step(model, *batches, Adam(apply_freeze(model, spec), OptimizerConfig(lr=1e-3)))
+        grads[frozen] = {n: p.grad for n, p in model.named_parameters()}
+    frozen_names = FreezeSpec.first_half_encoder(tiny_model(vocab)).frozen
+    assert frozen_names
+    for name, grad in grads[True].items():
+        if name in frozen_names:
+            assert grad is None, name
+        else:
+            assert np.array_equal(grad, grads[False][name]), name
+
+
+def test_apply_freeze_with_a_smaller_spec_unfreezes():
+    vocab, _ = toy_data()
+    model = tiny_model(vocab)
+    apply_freeze(model, FreezeSpec.first_half_encoder(model))
+    assert apply_freeze(model, FreezeSpec.none()) == list(model.named_parameters())
+    assert all(p.requires_grad for p in model.parameters())
 
 
 def test_fixed_batch_loss_decreases():
@@ -297,6 +324,38 @@ def test_validation_loss_logged():
     val_field = result.log_lines[-1].split("\t")[5]
     assert val_field != ""
     assert float(val_field) > 0
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("was_training", [True, False])
+def test_evaluation_helpers_restore_model_mode(monkeypatch, was_training, raises):
+    vocab, data = toy_data()
+    model = tiny_model(vocab)
+    tc = TrainConfig(steps=1, batch_size=4)
+    batches = [first_batches(data, tc)[0]]
+    modes = []
+
+    def spy(original):
+        def wrapped(model, *args, **kwargs):
+            modes.append(model.training)
+            if raises:
+                raise RuntimeError("forward failed")
+            return original(model, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(training, "compute_losses", spy(training.compute_losses))
+    monkeypatch.setattr(training, "translation_forward", spy(training.translation_forward))
+    for evaluate in (lambda: validation_loss(model, data, tc),
+                     lambda: token_accuracy(model, batches)):
+        model.training = was_training
+        modes.clear()
+        if raises:
+            with pytest.raises(RuntimeError, match="forward failed"):
+                evaluate()
+        else:
+            evaluate()
+        assert modes and not any(modes)
+        assert model.training is was_training
 
 
 # --- checkpointing -------------------------------------------------------------------
