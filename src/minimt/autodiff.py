@@ -5,6 +5,14 @@ its inputs and a backward closure on the output tensor, so the computation
 graph is rebuilt on each forward pass and lives in the tensors' parent
 links. ``backward(root)`` walks that graph once, in reverse topological
 order. All arithmetic is float64.
+
+``linear(x, w, b)`` is ``x @ w + b`` as one node; the model's projections
+all go through it. Gradients are owned: the first array a backward closure
+hands to a tensor becomes that tensor's ``grad`` (later ones are added in
+place), so a closure passes only arrays that nothing else holds and copies
+where it would otherwise pass a view of its incoming gradient. Note that
+``training.Adam`` re-homes its parameters' ``data`` as views into one flat
+buffer.
 """
 
 from __future__ import annotations
@@ -138,9 +146,12 @@ def _make(data, children, backward_fn):
 
 
 def _accumulate(tensor, grad):
+    """Add ``grad`` into ``tensor.grad``; the first one is stored as is, so
+    callers hand over arrays that nothing else holds."""
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+        tensor.grad = grad
+    else:
+        tensor.grad += grad
 
 
 def _unbroadcast(grad, shape):
@@ -162,10 +173,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        # an operand of the output's shape would get a view of g: copy it
+        for t in (a, b):
+            if t.requires_grad:
+                shape = t.data.shape
+                _accumulate(t, g.copy() if shape == g.shape else _unbroadcast(g, shape))
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -193,9 +205,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+            if a.data.ndim > 2 and b.data.ndim == 2:
+                # fold the batch into rows instead of summing a batched product
+                k, n = b.data.shape
+                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            else:
+                _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), backward_fn)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D weight and a 1-D bias, as one graph node."""
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"linear needs a 2-D weight and a matching 1-D bias, "
+                         f"got shapes {w.data.shape} and {b.data.shape}")
+    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.data.shape} x {w.data.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+    k, n = w.data.shape
+
+    def backward_fn(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        g2 = g.reshape(-1, n)
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, k).T @ g2)
+        if b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+
+    return _make(out_data, (x, w, b), backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -242,7 +282,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            _accumulate(x, g.reshape(old_shape))
+            _accumulate(x, g.reshape(old_shape).copy())
 
     return _make(out_data, (x,), backward_fn)
 
@@ -256,7 +296,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            _accumulate(x, g.transpose(inv))
+            _accumulate(x, g.transpose(inv).copy())
 
     return _make(out_data, (x,), backward_fn)
 
@@ -272,7 +312,7 @@ def concat(tensors, axis=0) -> Tensor:
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(offset, offset + size)
-                _accumulate(t, g[tuple(index)])
+                _accumulate(t, g[tuple(index)].copy())
             offset += size
 
     return _make(out_data, tuple(tensors), backward_fn)

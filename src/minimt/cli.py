@@ -67,7 +67,7 @@ def cmd_translate(args) -> int:
     vocab = Vocabulary.load(args.vocab, mode=meta.get("tokenize_mode", "word"))
     if meta.get("vocab_sha") and _sha256_file(args.vocab) != meta["vocab_sha"]:
         raise ConfigError(f"{args.vocab}: vocabulary does not match the checkpoint fingerprint")
-    model = _model_from_checkpoint(args.checkpoint)
+    model = _model_from_checkpoint(ckpt)
     max_len = meta["model_config"]["max_len"]
     decode_cfg = decode_config(args, vocab, meta["tgt_lang"], max_len)
     lines = read_lines(args.input)

@@ -312,11 +312,14 @@ def frame_target(ids, vocab, language):
     return dec_in, labels
 
 
-def make_batches(examples, batch_size: int, vocabulary: Vocabulary, max_len: int, seed) -> list:
+def make_batches(examples, batch_size: int, vocabulary: Vocabulary, max_len: int, seed,
+                 log_truncation: bool = True) -> list:
     """Shuffle deterministically by seed, frame, truncate, pad and mask.
 
     Accepts a split of ParallelExample (returns ParallelBatch) or of
     TokenSequence (returns MonoBatch). The final partial batch is kept.
+    ``log_truncation=False`` silences the warning about truncated sequences,
+    for callers that batch the same split again.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -346,6 +349,6 @@ def make_batches(examples, batch_size: int, vocabulary: Vocabulary, max_len: int
             labels, _ = _pad_rows([f[1] for f in framed], vocabulary.pad_id)
             batches.append(MonoBatch(dec_in, labels, mask, chunk[0].language,
                                      vocabulary.pad_id, vocabulary.eos_id))
-    if truncated[0]:
+    if truncated[0] and log_truncation:
         logger.warning("truncated %d over-length sequences to max_len=%d", truncated[0], max_len)
     return batches

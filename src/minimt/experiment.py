@@ -43,6 +43,7 @@ from minimt.evaluation import ComparisonReport, compare_report, corpus_bleu
 from minimt.model import FreezeSpec, ModelConfig, init_params
 from minimt.training import (
     PAPER_LR,
+    Checkpoint,
     TrainConfig,
     TrainData,
     config_fingerprint,
@@ -252,7 +253,7 @@ class ExperimentRunner:
             indices = self._load_indices("parallel")["test"]
             src_lines = read_lines(src_file)
             tgt_lines = read_lines(tgt_file)
-            model = _model_from_checkpoint(run_dir / "checkpoint.npz")
+            model = _model_from_checkpoint(load_checkpoint(run_dir / "checkpoint.npz"))
             decode_cfg = decode_config(self.config.decode, vocab, tgt_lang,
                                        self.config.model.max_len)
             hyps, refs = [], []
@@ -316,8 +317,7 @@ class ExperimentRunner:
         return report
 
 
-def _model_from_checkpoint(path):
-    ckpt = load_checkpoint(path)
+def _model_from_checkpoint(ckpt: Checkpoint):
     meta = ckpt.meta
     model = init_params(ModelConfig(**meta["model_config"]), multitask=meta["multitask"])
     restore_checkpoint(model, None, ckpt)

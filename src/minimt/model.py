@@ -131,8 +131,8 @@ class MultiHeadAttention:
         t = keys_values.shape[1]
 
         def heads(x, w, bias, length):
-            proj = ad.matmul(x, w) + bias
-            return proj.reshape(b, length, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
+            proj = ad.linear(x, w, bias).reshape(b, length, self.n_heads, self.d_head)
+            return proj.transpose(0, 2, 1, 3)
 
         q = heads(queries, self.wq, self.bq, s)
         k = heads(keys_values, self.wk, self.bk, t)
@@ -142,7 +142,7 @@ class MultiHeadAttention:
             scores = scores + Tensor(additive_mask)
         weights = ad.softmax(scores, axis=-1)
         ctx = ad.matmul(weights, v).transpose(0, 2, 1, 3).reshape(b, s, d)
-        return ad.matmul(ctx, self.wo) + self.bo
+        return ad.linear(ctx, self.wo, self.bo)
 
     def named_params(self, prefix):
         for name in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"):
@@ -157,7 +157,7 @@ class FeedForward:
         self.b2 = init.zeros(config.d_model)
 
     def __call__(self, x):
-        return ad.matmul((ad.matmul(x, self.w1) + self.b1).relu(), self.w2) + self.b2
+        return ad.linear(ad.linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
 
     def named_params(self, prefix):
         for name in ("w1", "b1", "w2", "b2"):

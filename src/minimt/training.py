@@ -139,13 +139,31 @@ def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=No
 class Adam:
     """Bias-corrected Adam over named parameters. Frozen parameters are
     simply not handed to the optimizer; parameters whose grad is absent in a
-    step are skipped (their moments and step counts do not advance)."""
+    step are skipped (their moments and step counts do not advance).
+
+    On construction the parameters' arrays move into one flat buffer: each
+    ``p.data`` becomes a view into it, and ``m[name]`` and ``v[name]`` are
+    views into flat moment buffers. A step updates each run of consecutive
+    parameters that have a gradient and share a step count with a few
+    in-place ufuncs, in the same elementwise order as the textbook update.
+    """
 
     def __init__(self, named_params, config: OptimizerConfig):
         self.config = config
         self.params = list(named_params)
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        bounds = np.cumsum([0] + [p.data.size for _, p in self.params]).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        n = bounds[-1]
+        self._data, self._m, self._v = np.empty(n), np.zeros(n), np.zeros(n)
+        self._grad, self._s1, self._s2 = np.empty(n), np.empty(n), np.empty(n)
+        self.m, self.v, self._grad_views = {}, {}, []
+        for (name, p), sl in zip(self.params, self._slices):
+            shape = p.data.shape
+            self._data[sl] = p.data.ravel()
+            p.data = self._data[sl].reshape(shape)
+            self.m[name] = self._m[sl].reshape(shape)
+            self.v[name] = self._v[sl].reshape(shape)
+            self._grad_views.append(self._grad[sl].reshape(shape))
         self.t = {name: 0 for name, _ in self.params}
 
     def zero_grad(self):
@@ -153,19 +171,40 @@ class Adam:
 
     def step(self):
         c = self.config
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
+        runs = []  # [start, stop, t] over consecutive parameters with a gradient
+        for (name, p), sl, view in zip(self.params, self._slices, self._grad_views):
+            if p.grad is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            view[...] = p.grad
+            t = self.t[name] + 1
+            if runs and runs[-1][1] == sl.start and runs[-1][2] == t:
+                runs[-1][1] = sl.stop
+            else:
+                runs.append([sl.start, sl.stop, t])
+        for lo, hi, _ in runs:
+            if not np.isfinite(self._grad[lo:hi]).all():
+                name = next(name for (name, p), sl in zip(self.params, self._slices)
+                            if lo <= sl.start < hi and not np.all(np.isfinite(p.grad)))
                 raise TrainingError(f"non-finite gradient in parameter {name!r}; aborting step")
-            self.t[name] += 1
-            t = self.t[name]
-            self.m[name] = c.beta1 * self.m[name] + (1 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1 - c.beta2) * g * g
-            m_hat = self.m[name] / (1 - c.beta1 ** t)
-            v_hat = self.v[name] / (1 - c.beta2 ** t)
-            p.data -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        for name, p in self.params:
+            if p.grad is not None:
+                self.t[name] += 1
+        for lo, hi, t in runs:
+            g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            s1, s2 = self._s1[lo:hi], self._s2[lo:hi]
+            m *= c.beta1
+            m += np.multiply(g, 1 - c.beta1, out=s1)
+            v *= c.beta2
+            np.multiply(g, 1 - c.beta2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(m, 1 - c.beta1 ** t, out=s1)  # m_hat
+            np.divide(v, 1 - c.beta2 ** t, out=s2)  # v_hat
+            np.sqrt(s2, out=s2)
+            s2 += c.eps
+            s1 *= c.lr
+            s1 /= s2
+            self._data[lo:hi] -= s1
 
 
 def clip_gradients(params, max_norm: float) -> float:
@@ -209,7 +248,8 @@ class TrainData:
 
 class _CyclingBatches:
     """Reshuffling batch iterator; order is a pure function of
-    (seed, role, cycle) so a cursor fully captures its state."""
+    (seed, role, cycle) so a cursor fully captures its state. Truncation is
+    logged once, when the iterator first batches its corpus."""
 
     def __init__(self, examples, batch_size, vocab, max_len, seed, role):
         self.examples = examples
@@ -220,11 +260,12 @@ class _CyclingBatches:
         self.role = role
         self.cycle = 0
         self.pos = 0
-        self._batches = self._generate()
+        self._batches = self._generate(log_truncation=True)
 
-    def _generate(self):
+    def _generate(self, log_truncation=False):
         return make_batches(self.examples, self.batch_size, self.vocab, self.max_len,
-                            seed=[self.seed, self.role, self.cycle])
+                            seed=[self.seed, self.role, self.cycle],
+                            log_truncation=log_truncation)
 
     def next(self):
         if self.pos >= len(self._batches):
@@ -365,8 +406,8 @@ def restore_checkpoint(model, optimizer: Adam | None, ckpt: Checkpoint) -> None:
     if optimizer is None:
         return
     for name, _ in optimizer.params:
-        optimizer.m[name] = ckpt.adam_m[name].copy()
-        optimizer.v[name] = ckpt.adam_v[name].copy()
+        optimizer.m[name][...] = ckpt.adam_m[name]
+        optimizer.v[name][...] = ckpt.adam_v[name]
         optimizer.t[name] = int(ckpt.adam_t[name])
 
 

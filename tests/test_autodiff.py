@@ -355,3 +355,108 @@ def test_values_and_grad_are_finite_after_masked_softmax():
     assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(scores.grad))
     assert np.all(out.data[:, :, 2:] < 1e-12)
+
+
+# --- fast paths against the slow paths they replace -------------------------------
+
+def _assert_close(actual, expected, rel=1e-12):
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def _grads_of(fn, inputs, weights):
+    for t in inputs:
+        t.zero_grad()
+    out = fn(*inputs)
+    backward((out * weights).sum())
+    return out.data.copy(), [t.grad.copy() for t in inputs]
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4), (2, 3, 5, 4)])
+def test_linear_matches_matmul_plus_bias(x_shape):
+    x, w, b = rand(x_shape, 60), rand((4, 6), 61), rand((6,), 62)
+    weights = rand(x_shape[:-1] + (6,), 63, requires_grad=False)
+    fast, fast_grads = _grads_of(ad.linear, [x, w, b], weights)
+    slow, slow_grads = _grads_of(lambda x, w, b: matmul(x, w) + b, [x, w, b], weights)
+    assert np.array_equal(fast, slow)
+    for fast_grad, slow_grad in zip(fast_grads, slow_grads):
+        _assert_close(fast_grad, slow_grad)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+def test_linear_gradient(x_shape):
+    x, w, b = rand(x_shape, 64), rand((4, 3), 65), rand((3,), 66)
+    report = grad_check(scalarize(ad.linear), [x, w, b], tolerance=1e-6)
+    assert report.passed, str(report)
+
+
+def test_linear_shape_errors():
+    with pytest.raises(ShapeError, match="inner"):
+        ad.linear(rand((2, 3), 0), rand((4, 2), 1), rand((2,), 2))
+    with pytest.raises(ShapeError, match="bias"):
+        ad.linear(rand((2, 4), 0), rand((4, 2), 1), rand((3,), 2))
+
+
+def test_folded_weight_gradient_matches_batched_sum():
+    a, w = rand((3, 5, 4), 67), rand((4, 6), 68)
+    g = np.random.default_rng(69).normal(size=(3, 5, 6))
+    backward((matmul(a, w) * Tensor(g)).sum())
+    batched_then_summed = (a.data.swapaxes(-1, -2) @ g).sum(axis=0)
+    _assert_close(w.grad, batched_then_summed)
+    _assert_close(a.grad, g @ w.data.T)
+
+
+def test_self_add_doubles_without_touching_the_root():
+    x = rand((3, 4), 70)
+    backward((x + x).sum())
+    assert np.array_equal(x.grad, np.full((3, 4), 2.0))
+    x = rand((1,), 70)
+    root = x + x
+    backward(root)
+    assert np.array_equal(x.grad, [2.0])
+    assert np.array_equal(root.grad, [1.0])
+
+
+@pytest.mark.parametrize("name,fn", [
+    ("add", lambda a, b: a + b),
+    ("reshape", lambda a, b: a.reshape(1, 1).reshape(1)),
+    ("transpose", lambda a, b: a.transpose(0)),
+    ("concat", lambda a, b: concat([concat([a], axis=0)], axis=0)),
+    ("chain", lambda a, b: concat([a.reshape(1, 1).transpose(1, 0), b.reshape(1, 1)], axis=1).sum()),
+])
+def test_gradients_own_their_memory(name, fn):
+    # each op here would otherwise hand a view of the root's gradient to a leaf
+    a, b = rand((1,), 71), rand((1,), 72)
+    root = fn(a, b)
+    backward(root)
+    grads = [g for g in (a.grad, b.grad) if g is not None] + [root.grad]
+    for i, g in enumerate(grads):
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h), name
+    a.grad += 1.0
+    assert np.all(root.grad == 1.0), name
+    assert b.grad is None or np.all(b.grad == 1.0), name
+
+
+def test_desk_step_gradients_share_no_memory():
+    from minimt.data import ParallelExample, build_vocab, encode, make_batches
+    from minimt.model import ModelConfig, init_params
+    from minimt.training import compute_losses
+
+    rng = np.random.default_rng(73)
+    words = [f"w{i}" for i in range(30)]
+    lines = [" ".join(rng.choice(words, size=rng.integers(3, 9))) for _ in range(48)]
+    vocab = build_vocab(lines, languages=["xx", "yy"])
+    pairs = [ParallelExample(encode(l, vocab, "xx"), encode(l, vocab, "yy")) for l in lines[:16]]
+    src = [encode(l, vocab, "xx") for l in lines[16:32]]
+    tgt = [encode(l, vocab, "yy") for l in lines[32:]]
+    batches = [make_batches(split, 16, vocab, 64, seed=0)[0] for split in (pairs, src, tgt)]
+    model = init_params(ModelConfig(vocab_size=len(vocab)), multitask=True)
+    root = compute_losses(model, *batches).loss
+    backward(root)
+    grads = [p.grad for p in model.parameters()]
+    assert all(g is not None for g in grads)
+    for i, g in enumerate(grads):
+        assert not np.shares_memory(g, root.grad)
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h)

@@ -179,6 +179,26 @@ def test_translate_rerun_byte_identical(trained_run, tmp_path):
     assert len(a.read_text().splitlines()) == 2
 
 
+def test_translate_reads_the_checkpoint_once(trained_run, tmp_path, monkeypatch):
+    from minimt import cli, experiment, training
+    loads = []
+
+    def counting_load(*args, **kwargs):
+        loads.append(args[0])
+        return training.load_checkpoint(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+    monkeypatch.setattr(experiment, "load_checkpoint", counting_load)
+    out, _, _ = trained_run
+    src = tmp_path / "in.txt"
+    src.write_text("ka1 ka2\n")
+    assert main(["translate",
+                 "--checkpoint", str(out / "aa-bb" / "mtl" / "checkpoint.npz"),
+                 "--vocab", str(out / "vocab.txt"),
+                 "--input", str(src), "--output", str(tmp_path / "o.txt")]) == 0
+    assert len(loads) == 1
+
+
 def test_translate_rejects_foreign_vocab(trained_run, tmp_path, capsys):
     out, _, _ = trained_run
     bad_vocab = tmp_path / "vocab.txt"

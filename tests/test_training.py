@@ -164,6 +164,72 @@ def test_adam_aborts_on_nan_gradient():
         opt.step()
 
 
+def _reference_adam_step(params, m, v, t, c):
+    """The per-tensor textbook update the flat Adam replaces."""
+    for name, p in params:
+        g = p.grad
+        if g is None:
+            continue
+        t[name] += 1
+        m[name] = c.beta1 * m[name] + (1 - c.beta1) * g
+        v[name] = c.beta2 * v[name] + (1 - c.beta2) * g * g
+        m_hat = m[name] / (1 - c.beta1 ** t[name])
+        v_hat = v[name] / (1 - c.beta2 ** t[name])
+        p.data -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+
+
+def test_flat_adam_is_bit_identical_to_per_tensor_adam():
+    vocab, data = toy_data()
+    model, reference = tiny_model(vocab), tiny_model(vocab)
+    spec = FreezeSpec.first_half_encoder(model)
+    oc = OptimizerConfig(lr=3e-3)
+    opt = Adam(apply_freeze(model, spec), oc)
+    ref_params = apply_freeze(reference, spec)
+    m = {n: np.zeros_like(p.data) for n, p in ref_params}
+    v = {n: np.zeros_like(p.data) for n, p in ref_params}
+    t = {n: 0 for n, _ in ref_params}
+    pb, sb, tb = first_batches(data, TrainConfig(steps=1, batch_size=4))
+    skipped = set()
+    for step in range(24):
+        # round-robin mixing: translation and CLM turns touch different decoders
+        batches = (None, sb, tb) if step % 2 else (pb, None, None)
+        train_step(model, *batches, opt)
+        for (name, p), (_, q) in zip(model.named_parameters(), reference.named_parameters()):
+            q.grad = None if p.grad is None else p.grad.copy()
+            if p.grad is None and p.requires_grad:
+                skipped.add(name)
+        _reference_adam_step(ref_params, m, v, t, oc)
+        for (name, p), (_, q) in zip(model.named_parameters(), reference.named_parameters()):
+            assert np.array_equal(p.data, q.data), (step, name)
+        for name, _ in ref_params:
+            assert np.array_equal(opt.m[name], m[name]), (step, name)
+            assert np.array_equal(opt.v[name], v[name]), (step, name)
+        assert opt.t == t
+    assert skipped and len(set(t.values())) > 1
+
+
+def test_adam_state_survives_checkpoint_and_continues_bit_identically(tmp_path):
+    vocab, data = toy_data()
+    oc = OptimizerConfig(lr=1e-3)
+
+    def config(steps):
+        return TrainConfig(steps=steps, batch_size=4, log_interval=100, seed=5,
+                           mixing="round_robin")
+
+    for steps, name, resume_from in ((9, "full", None), (4, "mid", None),
+                                     (9, "resumed", tmp_path / "mid.npz")):
+        train_loop(tiny_model(vocab, seed=2), data, config(steps), oc,
+                   checkpoint_path=tmp_path / f"{name}.npz", resume_from=resume_from)
+    full, resumed = (load_checkpoint(tmp_path / f"{name}.npz") for name in ("full", "resumed"))
+    assert full.step == resumed.step == 9
+    assert full.adam_t == resumed.adam_t and len(set(full.adam_t.values())) > 1
+    for field_name in ("params", "adam_m", "adam_v"):
+        a, b = getattr(full, field_name), getattr(resumed, field_name)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.array_equal(a[name], b[name]), (field_name, name)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(lr=0.0)
@@ -419,6 +485,17 @@ def test_resume_rejects_different_model_config(tmp_path):
     other.config.d_model = 999  # poison the fingerprint
     with pytest.raises(TrainingError, match="fingerprint"):
         train_loop(other, data, tc, oc, resume_from=ckpt_path)
+
+
+def test_truncation_is_logged_once_per_corpus(caplog):
+    vocab, _ = toy_data()
+    long_lines = [encode(" ".join(WORDS * 3), vocab, "xx") for _ in range(2)]
+    with caplog.at_level("WARNING"):
+        batches = training._CyclingBatches(long_lines, 1, vocab, 8, seed=0, role=1)
+        for _ in range(6):  # two batches a cycle: cycles 0, 1 and 2
+            batches.next()
+    assert batches.cycle == 2
+    assert sum("truncated" in r.getMessage() for r in caplog.records) == 1
 
 
 def test_fingerprint_is_stable():
