@@ -289,13 +289,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     out_data = x.data.transpose(axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
 
     def backward_fn(g):
         if x.requires_grad:
+            inv = None if axes is None else tuple(np.argsort(axes))
             _accumulate(x, g.transpose(inv).copy())
 
     return _make(out_data, (x,), backward_fn)

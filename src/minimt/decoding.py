@@ -1,20 +1,28 @@
-"""Autoregressive inference: greedy and beam-search decoding with
-length-penalty normalization.
+"""Autoregressive inference: beam search with length-penalty normalization
+(greedy decoding is a beam of one).
 
-Candidates compete on raw summed log-probability during the search (the
-penalty applies to the final ranking and the stopping bound); setting
-``penalize_during_search`` moves the penalty into pruning as well. Ties
-break toward the lower token id everywhere, so decoding is deterministic.
+``search`` runs over any batched next-token scorer. It ranks all
+beam x vocabulary candidates of a step as one array: candidates compete on
+raw summed log-probability (the penalty applies to the final ranking and
+the stopping bound), or, with ``penalize_during_search``, on the penalized
+score. Ties break toward the lexicographically smaller token sequence, so
+toward the lower token id, and decoding is deterministic.
+
+``beam_search`` scores with the model's translation decoder incrementally:
+the source is encoded once, and each step decodes only the newest position
+of every live prefix against cached keys and values, as in fairseq's
+incremental decoding (Ott et al., 2019).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from minimt.autodiff import Tensor, no_grad
+from minimt.autodiff import no_grad
 from minimt.data import TokenSequence
+from minimt.model import DecoderCache
 
 
 @dataclass
@@ -85,73 +93,98 @@ def search(step_fn, config: DecodeConfig) -> list:
     token implied) to an array of next-token log-probabilities, one row per
     prefix. Returns every completed hypothesis, best penalized score first.
     """
-    live = [((), 0.0)]  # (tokens, logprob_sum); all live entries share a length
+    live, totals = [()], np.zeros(1)  # all live prefixes share a length
     pool = []
     while live:
-        logprobs = step_fn([tokens for tokens, _ in live])
-        candidates = []
-        for (tokens, total), row in zip(live, logprobs):
-            for tok, lp in enumerate(row):
-                candidates.append((tokens + (tok,), total + float(lp)))
+        candidates = totals[:, None] + np.asarray(step_fn(live))
         if config.penalize_during_search:
-            def rank(c):
-                return (-score_hypothesis(c[1], len(c[0]), config.length_penalty,
-                                          config.penalty_form), c[0])
+            key = candidates / _divisor(len(live[0]) + 1, config.length_penalty,
+                                        config.penalty_form)
         else:
-            def rank(c):
-                return (-c[1], c[0])
-        candidates.sort(key=rank)
-        kept = candidates[: config.beam_size]
+            key = candidates
+        kept = _top_candidates(key, live, config.beam_size)
+        parents, toks = np.divmod(kept, candidates.shape[1])
 
-        live = []
-        for tokens, total in kept:
-            if tokens[-1] == config.eos_id or len(tokens) >= config.max_decode_len:
+        next_live, next_totals = [], []
+        for parent, tok, total in zip(parents, toks.tolist(), candidates.ravel()[kept].tolist()):
+            tokens = live[parent] + (tok,)
+            if tok == config.eos_id or len(tokens) >= config.max_decode_len:
                 pool.append(_finalize(tokens, total, config))
             else:
-                live.append((tokens, total))
+                next_live.append(tokens)
+                next_totals.append(total)
+        live, totals = next_live, np.array(next_totals)
 
         if live and len(pool) >= config.beam_size:
             settled = sorted(pool, key=lambda h: (-h.score, h.tokens))[config.beam_size - 1]
-            reachable = max(_best_reachable(total, len(tokens), config) for tokens, total in live)
+            reachable = max(_best_reachable(total, len(tokens), config)
+                            for tokens, total in zip(live, next_totals))
             if settled.score > reachable:
                 break
 
     return sorted(pool, key=lambda h: (-h.score, h.tokens))
 
 
+def _top_candidates(key, live, k):
+    """Flat indices (parent * V + token) into the (live, V) array ``key`` of
+    its ``k`` best candidates, best first: highest key, ties to the
+    lexicographically smaller token tuple, that is the smaller parent prefix
+    and then the lower token id."""
+    flat = key.ravel()
+    k = min(k, flat.size)
+    threshold = np.partition(flat, flat.size - k)[flat.size - k]
+    tied_or_better = np.flatnonzero(flat >= threshold)  # keeps every tie at the cut
+    parents, toks = np.divmod(tied_or_better, key.shape[1])
+    parent_rank = np.empty(len(live), dtype=np.int64)
+    parent_rank[sorted(range(len(live)), key=live.__getitem__)] = np.arange(len(live))
+    order = np.lexsort((toks, parent_rank[parents], -flat[tied_or_better]))
+    return tied_or_better[order[:k]]
+
+
 def greedy_search(step_fn, config: DecodeConfig) -> Hypothesis:
-    """Argmax token each step (ties to the lowest id); stops at EOS or
-    max_decode_len."""
-    tokens, total = (), 0.0
-    while True:
-        row = step_fn([tokens])[0]
-        tok = int(np.argmax(row))
-        tokens += (tok,)
-        total += float(row[tok])
-        if tok == config.eos_id or len(tokens) >= config.max_decode_len:
-            return _finalize(tokens, total, config)
+    """Argmax token each step (ties to the lowest id): a beam of one."""
+    return search(step_fn, replace(config, beam_size=1))[0]
 
 
 def _translation_stepper(model, source_ids, config: DecodeConfig):
     """Next-token log-probability function over the model's translation path.
 
     ``source_ids`` is the framed encoder row (language tag + tokens + EOS).
-    The full target prefix is re-decoded each step; no state is cached
-    beyond the encoder output.
+    The source is encoded, and each decoder layer's cross-attention keys and
+    values projected, once. Each call decodes only the newest position of
+    every prefix (all prefixes of a call share a length) and projects only
+    that position onto the vocabulary. The decoder's self-attention keys and
+    values for the previous call's prefixes are kept: a prefix whose parent
+    (itself minus its last token) was among them starts from its parent's
+    rows, gathered with one index. Any other prefix is first rebuilt from
+    the empty cache, one position at a time through the same code, so
+    prefixes may come in any order.
     """
     src = np.asarray(source_ids, dtype=np.int64)[None, :]
     src_mask = np.ones(src.shape, dtype=np.float64)
-    with no_grad():
-        enc = model.encode_source(src, src_mask)
     decoder = model.translation_decoder
+    with no_grad():
+        empty = DecoderCache(decoder, model.encode_source(src, src_mask))
+    kept_rows, kept = {}, empty  # the previous call's prefixes -> their rows in kept
 
     def step(prefixes):
-        b = len(prefixes)
-        ids = np.array([(config.start_id,) + tuple(p) for p in prefixes], dtype=np.int64)
-        enc_b = enc if b == 1 else Tensor(np.repeat(enc.data, b, axis=0))
-        mask_b = np.repeat(src_mask, b, axis=0)
+        nonlocal kept_rows, kept
+        prefixes = [tuple(p) for p in prefixes]
+        n = len(prefixes[0])
+        if any(len(p) != n for p in prefixes):
+            raise ValueError("prefixes in one call must share a length")
+        framed = np.array([(config.start_id,) + p for p in prefixes], dtype=np.int64)
+        parents = [p[:-1] for p in prefixes]
         with no_grad():
-            logits = model._decode(decoder, ids, enc_b, mask_b).data[:, -1, :]
+            if n and all(q in kept_rows for q in parents):
+                cache = kept.select(np.array([kept_rows[q] for q in parents]))
+            else:  # replay from the empty cache
+                cache = empty.select(None)
+                for j in range(n):
+                    model._decode(decoder, framed[:, j:j + 1], None, src_mask, cache=cache)
+            logits = model._decode(decoder, framed[:, n:], None, src_mask, cache=cache).data
+        logits = logits[:, -1, :]
+        kept, kept_rows = cache, {p: i for i, p in enumerate(prefixes)}
         m = logits.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)) + m
         return logits - lse
@@ -164,8 +197,8 @@ def _source_ids(source):
 
 
 def greedy_decode(model, source, config: DecodeConfig) -> Hypothesis:
-    with model.eval_mode():
-        return greedy_search(_translation_stepper(model, _source_ids(source), config), config)
+    """``beam_search`` with a beam of one."""
+    return beam_search(model, source, replace(config, beam_size=1))[0]
 
 
 def beam_search(model, source, config: DecodeConfig) -> list:

@@ -5,10 +5,13 @@ BaselineModel = encoder + one translation decoder. MtlModel = the same
 encoder shared by a translation decoder and a separate causal-LM decoder.
 Blocks are pre-norm residual; positions are sinusoidal; the embedding table
 is shared between input lookups and (by default) every output projection.
+A decoder pass can also run incrementally, over the new positions only,
+against a ``DecoderCache`` of earlier keys and values.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -101,8 +104,10 @@ def padding_attention_mask(mask: np.ndarray) -> np.ndarray:
     return ((1.0 - mask) * NEG_MASK)[:, None, None, :]
 
 
-def causal_attention_mask(t: int) -> np.ndarray:
-    return (np.triu(np.ones((t, t)), k=1) * NEG_MASK)[None, None, :, :]
+def causal_attention_mask(t: int, offset: int = 0) -> np.ndarray:
+    """Additive mask for ``t`` new positions that follow ``offset`` cached
+    ones: position ``offset + i`` sees keys ``0 .. offset + i``."""
+    return (np.triu(np.ones((t, offset + t)), k=offset + 1) * NEG_MASK)[None, None, :, :]
 
 
 class LayerNorm:
@@ -127,16 +132,22 @@ class MultiHeadAttention:
         self.bq, self.bk, self.bv, self.bo = (init.zeros(d) for _ in range(4))
 
     def __call__(self, queries, keys_values, additive_mask):
+        return self.attend(queries, *self.keys_values(keys_values), additive_mask)
+
+    def _heads(self, x, w, bias):
+        b, t, _ = x.shape
+        proj = ad.linear(x, w, bias).reshape(b, t, self.n_heads, self.d_head)
+        return proj.transpose(0, 2, 1, 3)
+
+    def keys_values(self, x):
+        """Per-head keys and values of ``x``, each (B, heads, T, d_head)."""
+        return self._heads(x, self.wk, self.bk), self._heads(x, self.wv, self.bv)
+
+    def attend(self, queries, k, v, additive_mask):
+        """Attention of ``queries`` over projected keys and values; a batch
+        of one in ``k`` and ``v`` broadcasts over the queries' batch."""
         b, s, d = queries.shape
-        t = keys_values.shape[1]
-
-        def heads(x, w, bias, length):
-            proj = ad.linear(x, w, bias).reshape(b, length, self.n_heads, self.d_head)
-            return proj.transpose(0, 2, 1, 3)
-
-        q = heads(queries, self.wq, self.bq, s)
-        k = heads(keys_values, self.wk, self.bk, t)
-        v = heads(keys_values, self.wv, self.bv, t)
+        q = self._heads(queries, self.wq, self.bq)
         scores = ad.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.d_head))
         if additive_mask is not None:
             scores = scores + Tensor(additive_mask)
@@ -193,12 +204,21 @@ class DecoderLayer:
         self.ln3 = LayerNorm(config.d_model)
         self.ff = FeedForward(config, init)
 
-    def __call__(self, x, enc_states, causal_mask, enc_pad_mask, drop):
+    def __call__(self, x, cross_kv, past_kv, causal_mask, enc_pad_mask, drop):
+        """One block over the new positions ``x``. ``cross_kv`` are the
+        cross-attention keys and values of the encoder output and ``past_kv``
+        the self-attention ones of earlier positions (None if there are none).
+        Returns the block's output and the self-attention keys and values of
+        every position so far."""
         h = self.ln1(x)
-        x = x + drop(self.self_attn(h, h, causal_mask))
-        x = x + drop(self.cross_attn(self.ln2(x), enc_states, enc_pad_mask))
+        k, v = self.self_attn.keys_values(h)
+        if past_kv is not None:
+            k = ad.concat([past_kv[0], k], axis=2)
+            v = ad.concat([past_kv[1], v], axis=2)
+        x = x + drop(self.self_attn.attend(h, k, v, causal_mask))
+        x = x + drop(self.cross_attn.attend(self.ln2(x), *cross_kv, enc_pad_mask))
         x = x + drop(self.ff(self.ln3(x)))
-        return x
+        return x, (k, v)
 
     def named_params(self, prefix):
         yield from self.ln1.named_params(f"{prefix}.ln1")
@@ -225,15 +245,42 @@ class Encoder:
         yield from self.ln_out.named_params(f"{prefix}.ln_out")
 
 
+class DecoderCache:
+    """What an incremental decoder pass reuses, per layer: the cross-attention
+    keys and values of the encoder output, projected once per source, and
+    the self-attention keys and values of the ``length`` positions decoded so
+    far (None before the first)."""
+
+    def __init__(self, decoder, enc_states):
+        self.cross = [layer.cross_attn.keys_values(enc_states) for layer in decoder.layers]
+        self.past = [None] * len(decoder.layers)
+        self.length = 0
+
+    def select(self, rows):
+        """A new cache whose self-attention rows are these rows of this one
+        (an index array; rows may repeat); the cross-attention part is shared."""
+        out = copy.copy(self)
+        out.past = [None if kv is None else tuple(Tensor(t.data[rows]) for t in kv)
+                    for kv in self.past]
+        return out
+
+
 class Decoder:
     def __init__(self, config, init):
         self.layers = [DecoderLayer(config, init) for _ in range(config.n_dec_layers)]
         self.ln_out = LayerNorm(config.d_model)
         self.proj = None if config.tie_projections else init.matrix(config.d_model, config.vocab_size)
 
-    def __call__(self, x, enc_states, causal_mask, enc_pad_mask, embedding, drop):
-        for layer in self.layers:
-            x = layer(x, enc_states, causal_mask, enc_pad_mask, drop)
+    def __call__(self, x, enc_states, causal_mask, enc_pad_mask, embedding, drop, cache=None):
+        """Logits for the positions in ``x``. Without ``cache`` they are a
+        whole target row. With one, they follow ``cache.length`` decoded
+        positions, ``enc_states`` is unused, and the cache is extended by them."""
+        if cache is None:
+            cache = DecoderCache(self, enc_states)
+        for i, layer in enumerate(self.layers):
+            x, cache.past[i] = layer(x, cache.cross[i], cache.past[i], causal_mask,
+                                     enc_pad_mask, drop)
+        cache.length += x.shape[1]
         x = self.ln_out(x)
         proj = self.proj if self.proj is not None else embedding.transpose(1, 0)
         return ad.matmul(x, proj)
@@ -283,22 +330,26 @@ class _TransformerBase:
             return ad.dropout(x, self.config.dropout_rate, self._dropout_rng)
         return x
 
-    def _embed(self, ids: np.ndarray) -> Tensor:
+    def _embed(self, ids: np.ndarray, offset: int = 0) -> Tensor:
+        """Embedded ``ids`` at positions ``offset`` onwards."""
         b, s = ids.shape
-        if s > self.config.max_len:
-            raise ShapeError(f"sequence length {s} exceeds max_len {self.config.max_len}")
+        if offset + s > self.config.max_len:
+            raise ShapeError(f"sequence length {offset + s} exceeds max_len {self.config.max_len}")
         x = ad.embedding(self.embedding, ids) * math.sqrt(self.config.d_model)
-        return self._drop(x + Tensor(self.positions[:s]))
+        return self._drop(x + Tensor(self.positions[offset:offset + s]))
 
     def encode_source(self, src_ids: np.ndarray, src_mask: np.ndarray) -> Tensor:
         """Run the encoder; PAD keys are masked out of every attention row."""
         return self.encoder(self._embed(src_ids), padding_attention_mask(src_mask), self._drop)
 
-    def _decode(self, decoder, tgt_ids, enc_states, enc_mask):
-        x = self._embed(tgt_ids)
-        causal = causal_attention_mask(tgt_ids.shape[1])
+    def _decode(self, decoder, tgt_ids, enc_states, enc_mask, cache=None):
+        """Logits for ``tgt_ids``; with a ``DecoderCache`` they are the
+        positions after the cached ones (see ``Decoder.__call__``)."""
+        offset = 0 if cache is None else cache.length
+        x = self._embed(tgt_ids, offset)
+        causal = causal_attention_mask(tgt_ids.shape[1], offset)
         return decoder(x, enc_states, causal, padding_attention_mask(enc_mask),
-                       self.embedding, self._drop)
+                       self.embedding, self._drop, cache=cache)
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]

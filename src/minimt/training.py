@@ -289,14 +289,23 @@ class _CyclingBatches:
 _ROLE_TRANSLATION, _ROLE_SRC_MONO, _ROLE_TGT_MONO, _ROLE_VALID = 0, 1, 2, 99
 
 
-def validation_loss(model, data: TrainData, config: TrainConfig):
-    """Teacher-forced translation loss over the validation split, eval mode.
-    Returns None when the corpus has no validation examples."""
+def validation_batches(data: TrainData, config: TrainConfig) -> list:
+    """The validation split, batched; empty when the corpus has none."""
     split = data.parallel.splits.get("validation") or []
     if not split:
+        return []
+    return make_batches(split, config.batch_size, data.vocabulary, config.max_len,
+                        seed=[config.seed, _ROLE_VALID])
+
+
+def validation_loss(model, data: TrainData, config: TrainConfig, batches=None):
+    """Teacher-forced translation loss over the validation split, eval mode.
+    ``batches`` is that split from ``validation_batches``, batched here when
+    not given. Returns None when the corpus has no validation examples."""
+    if batches is None:
+        batches = validation_batches(data, config)
+    if not batches:
         return None
-    batches = make_batches(split, config.batch_size, data.vocabulary, config.max_len,
-                           seed=[config.seed, _ROLE_VALID])
     with model.eval_mode(), no_grad():
         losses = [compute_losses(model, b).l_t for b in batches]
     return float(np.mean(losses))
@@ -486,6 +495,7 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
             c["tgt_mono"] = tgt_iter.cursor
         return c
 
+    val_batches = validation_batches(data, train_config)  # batched (and warned about) once
     model.train()
     log_lines = []
     last_bd = None
@@ -499,7 +509,7 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
         last_bd = train_step(model, pb, sb, tb, optimizer, train_config)
         step += 1
         if step % train_config.log_interval == 0 or step == total_steps:
-            val = validation_loss(model, data, train_config)
+            val = validation_loss(model, data, train_config, val_batches)
             line = _format_log_line(step, last_bd, val)
             log_lines.append(line)
             logger.info("step %d: %s", step, line)

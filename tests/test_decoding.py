@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minimt.autodiff import Tensor, no_grad
 from minimt.decoding import (
     DecodeConfig,
     beam_search,
@@ -8,6 +9,7 @@ from minimt.decoding import (
     greedy_search,
     score_hypothesis,
     search,
+    _finalize,
     _translation_stepper,
 )
 from minimt.model import ModelConfig, init_params
@@ -214,3 +216,171 @@ def test_decoding_leaves_model_mode_alone():
     model.eval()
     greedy_decode(model, [3, 1], tiny_config())
     assert not model.training
+
+
+# --- fast paths against the slow paths they replace ------------------------------
+
+def full_decode_logprobs(model, source, config, prefixes):
+    """Slow reference: every prefix decoded in full, teacher forced, with no
+    cache; the log-probabilities at its last position, one row per prefix."""
+    src = np.asarray([source], dtype=np.int64)
+    mask = np.ones(src.shape)
+    rows = []
+    with model.eval_mode(), no_grad():
+        enc = model.encode_source(src, mask)
+        for p in prefixes:
+            ids = np.asarray([(config.start_id,) + tuple(p)], dtype=np.int64)
+            logits = model._decode(model.translation_decoder, ids, enc, mask).data[0, -1]
+            rows.append(log_softmax(logits))
+    return np.array(rows)
+
+
+def small_model(seed, multitask=False, tie_projections=True):
+    config = ModelConfig(vocab_size=9, d_model=16, n_heads=2, n_enc_layers=2, n_dec_layers=2,
+                         d_ff=24, max_len=10, seed=seed, tie_projections=tie_projections)
+    return init_params(config, multitask=multitask).eval()
+
+
+MODEL_KINDS = {
+    "baseline": dict(),
+    "mtl": dict(multitask=True),
+    "untied": dict(tie_projections=False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+@pytest.mark.parametrize("seed", range(3))
+def test_cached_stepper_matches_full_decode_depth_first(kind, seed):
+    model = small_model(seed, **MODEL_KINDS[kind])
+    source = [4, 5, 6, 2]
+    config = tiny_config(max_decode_len=6)
+    step = _translation_stepper(model, source, config)
+    rng = np.random.default_rng(seed)
+    visited = []
+
+    def walk(prefix):  # depth first over a random subtree: siblings miss the cache
+        visited.append(prefix)
+        got = step([prefix])
+        want = full_decode_logprobs(model, source, config, [prefix])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if len(prefix) < 5:
+            for tok in rng.choice(9, size=2, replace=False):
+                walk(prefix + (int(tok),))
+
+    walk(())
+    assert len(visited) == 63
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_cached_stepper_matches_full_decode_through_beam_reorders(kind):
+    model = small_model(5, **MODEL_KINDS[kind])
+    source = [4, 7, 2]
+    config = tiny_config(max_decode_len=6)
+    step = _translation_stepper(model, source, config)
+    calls = [
+        [()],
+        [(1,), (3,)],
+        [(3, 0), (1, 2), (3, 4)],  # reordered; two children share the parent (3,)
+        [(3, 4, 8), (3, 0, 1), (3, 4, 5)],  # (1, 2) drops out
+        [(3, 0, 1, 1), (3, 4, 5, 6), (3, 0, 1, 7), (3, 4, 8, 0)],
+    ]
+    for prefixes in calls:
+        got = step(prefixes)
+        want = full_decode_logprobs(model, source, config, prefixes)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def tuple_sort_search(step_fn, config):
+    """Reference beam search that ranks every candidate as a Python tuple:
+    (-score, tokens), the penalized score with penalize_during_search."""
+    live, pool = [((), 0.0)], []
+    while live:
+        logprobs = step_fn([tokens for tokens, _ in live])
+        candidates = [(tokens + (tok,), total + float(lp))
+                      for (tokens, total), row in zip(live, logprobs)
+                      for tok, lp in enumerate(row)]
+        if config.penalize_during_search:
+            def rank(c):
+                return (-score_hypothesis(c[1], len(c[0]), config.length_penalty,
+                                          config.penalty_form), c[0])
+        else:
+            def rank(c):
+                return (-c[1], c[0])
+        candidates.sort(key=rank)
+        live = []
+        for tokens, total in candidates[: config.beam_size]:
+            if tokens[-1] == config.eos_id or len(tokens) >= config.max_decode_len:
+                pool.append(_finalize(tokens, total, config))
+            else:
+                live.append((tokens, total))
+        if live and len(pool) >= config.beam_size:
+            settled = sorted(pool, key=lambda h: (-h.score, h.tokens))[config.beam_size - 1]
+            reachable = max(max(score_hypothesis(total, l, config.length_penalty,
+                                                 config.penalty_form)
+                                for l in (len(tokens) + 1, config.max_decode_len))
+                            for tokens, total in live)
+            if settled.score > reachable:
+                break
+    return sorted(pool, key=lambda h: (-h.score, h.tokens))
+
+
+def rigged_step(seed, vocab, levels):
+    """Log-probabilities that are multiples of 1/4 drawn from ``levels``
+    values per prefix: sums stay exact, so candidates tie across parents and
+    tokens."""
+    def step(prefixes):
+        rows = [np.random.default_rng([seed, *p]).integers(-levels + 1, 1, vocab) * 0.25
+                for p in prefixes]
+        return np.array(rows)
+    return step
+
+
+@pytest.mark.parametrize("form", ["pow", "gnmt"])
+@pytest.mark.parametrize("during", [False, True])
+@pytest.mark.parametrize("levels", [1, 2, 4])
+@pytest.mark.parametrize("beam", [1, 2, 3, 5, 8])
+def test_vectorized_ranking_matches_tuple_sort(form, during, levels, beam):
+    config = DecodeConfig(eos_id=2, start_id=3, beam_size=beam, length_penalty=1.2,
+                          max_decode_len=5, penalty_form=form, penalize_during_search=during)
+    for seed in range(4):
+        step = rigged_step(seed, 5, levels)
+        got = [(h.tokens, h.logprob_sum, h.score) for h in search(step, config)]
+        want = [(h.tokens, h.logprob_sum, h.score) for h in tuple_sort_search(step, config)]
+        assert got == want
+
+
+def prefix_redecode_stepper(model, source_ids, config):
+    """The stepper incremental decoding replaced: every prefix re-decoded in
+    full at every step, the encoder output repeated per row."""
+    src = np.asarray(source_ids, dtype=np.int64)[None, :]
+    src_mask = np.ones(src.shape, dtype=np.float64)
+    with no_grad():
+        enc = model.encode_source(src, src_mask)
+    decoder = model.translation_decoder
+
+    def step(prefixes):
+        b = len(prefixes)
+        ids = np.array([(config.start_id,) + tuple(p) for p in prefixes], dtype=np.int64)
+        enc_b = enc if b == 1 else Tensor(np.repeat(enc.data, b, axis=0))
+        mask_b = np.repeat(src_mask, b, axis=0)
+        with no_grad():
+            logits = model._decode(decoder, ids, enc_b, mask_b).data[:, -1, :]
+        return log_softmax(logits)
+
+    return step
+
+
+@pytest.mark.parametrize("multitask", [False, True])
+def test_incremental_beam_search_matches_prefix_redecoding_at_desk_shape(multitask):
+    model = init_params(ModelConfig(vocab_size=66, seed=4), multitask=multitask).eval()
+    config = DecodeConfig(eos_id=2, start_id=3, beam_size=4, length_penalty=1.2,
+                          max_decode_len=24)
+    rng = np.random.default_rng(0)
+    for n in (3, 9, 20):
+        source = [4, *rng.integers(5, 66, n), 2]
+        got = beam_search(model, source, config)
+        with model.eval_mode():
+            want = search(prefix_redecode_stepper(model, source, config), config)
+        assert [h.tokens for h in got] == [h.tokens for h in want]
+        for g, w in zip(got, want):
+            assert abs(g.logprob_sum - w.logprob_sum) <= 1e-12

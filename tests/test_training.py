@@ -498,6 +498,21 @@ def test_truncation_is_logged_once_per_corpus(caplog):
     assert sum("truncated" in r.getMessage() for r in caplog.records) == 1
 
 
+def test_validation_split_is_batched_once_per_train_loop(caplog):
+    vocab, data = toy_data(with_mono=False)
+    long_line = " ".join(WORDS * 3)
+    data.parallel.splits["validation"].append(
+        ParallelExample(encode(long_line, vocab, "xx"), encode(long_line, vocab, "yy")))
+    tc = TrainConfig(steps=5, batch_size=4, log_interval=1, max_len=8)
+    model = tiny_model(vocab, multitask=False)
+    with caplog.at_level("WARNING"):
+        result = train_loop(model, data, tc, OptimizerConfig())
+    assert len(result.log_lines) == 5
+    assert sum("truncated" in r.getMessage() for r in caplog.records) == 1
+    # the split batched once gives the loss that batching it afresh gives
+    assert result.log_lines[-1].split("\t")[5] == repr(validation_loss(model, data, tc))
+
+
 def test_fingerprint_is_stable():
     a = config_fingerprint({"x": 1}, OptimizerConfig())
     b = config_fingerprint({"x": 1}, OptimizerConfig())
