@@ -6,17 +6,20 @@ graph is rebuilt on each forward pass and lives in the tensors' parent
 links. ``backward(root)`` walks that graph once, in reverse topological
 order. All arithmetic is float64.
 
-``linear(x, w, b)`` is ``x @ w + b`` as one node; the model's projections
-all go through it. Gradients are owned: the first array a backward closure
-hands to a tensor becomes that tensor's ``grad`` (later ones are added in
-place), so a closure passes only arrays that nothing else holds and copies
-where it would otherwise pass a view of its incoming gradient. Note that
-``training.Adam`` re-homes its parameters' ``data`` as views into one flat
-buffer.
+Two fused ops carry the model: ``linear(x, w, b)`` is ``x @ w + b`` as one
+node, for every projection, and ``attention(q, k, v, n_heads, mask)`` is a
+whole multi-head scaled dot-product attention between the projections as
+one node, which keeps only its attention weights for backward. Gradients
+are owned: the first array a backward closure hands to a tensor becomes
+that tensor's ``grad`` (later ones are added in place), so a closure passes
+only arrays that nothing else holds, and copies where it would otherwise
+pass a view of its incoming gradient. Note that ``training.Adam`` re-homes
+its parameters' ``data`` as views into one flat buffer.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -329,6 +332,62 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
             _accumulate(x, out_data * (g - dot))
 
     return _make(out_data, (x,), backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
+    """Multi-head ``softmax(q kᵀ / √d_head + mask) v`` as one graph node.
+
+    ``q`` is (B, S, d); ``k`` and ``v`` are (B, T, d), or (1, T, d) to be
+    shared by every query row. Each is split into ``n_heads`` heads of width
+    ``d_head = d / n_heads`` as views. ``mask`` is an additive array that
+    broadcasts to the (B, heads, S, T) scores. Returns the heads' contexts
+    merged back to (B, S, d). The scores are scaled, masked and normalized in
+    place, so the attention weights are the only (B, heads, S, T) array the
+    node keeps for backward.
+    """
+    d = q.data.shape[-1]
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape \
+            or k.data.shape[0] not in (1, q.data.shape[0]) or k.data.shape[2] != d or d % n_heads:
+        raise ShapeError(f"attention needs (B, S, d) queries and matching (B or 1, T, d) keys "
+                         f"and values with d divisible by {n_heads} heads, got shapes "
+                         f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+
+    def heads(x):  # (B, T, d) -> (B, heads, T, d_head)
+        return x.reshape(x.shape[0], x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
+
+    # C-contiguous: handed a strided view, the projections' backward products
+    # take another BLAS path and round differently
+    def merge(x):  # (B, heads, T, d_head) -> (B, T, d)
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(x.shape[0], x.shape[2], d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= scale
+    if mask is not None:
+        w += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out_data = merge(w @ vh)
+
+    def backward_fn(g):
+        gh = heads(g)
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(merge(w.swapaxes(-1, -2) @ gh), v.data.shape))
+        dw = gh @ vh.swapaxes(-1, -2)  # the weights' gradient, turned in place into the scores'
+        dot = (dw * w).sum(axis=-1, keepdims=True)
+        dw -= dot
+        dw *= w
+        dw *= scale
+        if q.requires_grad:
+            _accumulate(q, merge(dw @ kh))
+        if k.requires_grad:
+            dkt = qh.swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
+            _accumulate(k, _unbroadcast(merge(dkt.swapaxes(-1, -2)), k.data.shape))
+
+    return _make(out_data, (q, k, v), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from minimt.data import Vocabulary
 from minimt.decoding import DecodeConfig
 from minimt.model import ModelConfig
-from minimt.training import OptimizerConfig, TrainConfig
+from minimt.training import OptimizerConfig, TrainConfig, write_atomically
 
 
 class ConfigError(ValueError):
@@ -64,17 +63,10 @@ def decode_config(settings, vocabulary: Vocabulary, target_language: str,
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented, key-sorted JSON. The text goes to a
-    temporary file beside ``path`` that then replaces it, so readers see
-    either the old file or the new one, never a truncated one."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    try:
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write ``payload`` as indented, key-sorted JSON, atomically (see
+    ``training.write_atomically``)."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
 
 
 @dataclass
@@ -123,7 +115,6 @@ class DecodeSection:
     length_penalty: float = 1.2
     max_decode_len: int = 32
     penalty_form: str = "pow"
-    penalize_during_search: bool = False
 
 
 @dataclass

@@ -4,9 +4,8 @@
 ``search`` runs over any batched next-token scorer. It ranks all
 beam x vocabulary candidates of a step as one array: candidates compete on
 raw summed log-probability (the penalty applies to the final ranking and
-the stopping bound), or, with ``penalize_during_search``, on the penalized
-score. Ties break toward the lexicographically smaller token sequence, so
-toward the lower token id, and decoding is deterministic.
+the stopping bound). Ties break toward the lexicographically smaller token
+sequence, so toward the lower token id, and decoding is deterministic.
 
 ``beam_search`` scores with the model's translation decoder incrementally:
 the source is encoded once, and each step decodes only the newest position
@@ -33,7 +32,6 @@ class DecodeConfig:
     length_penalty: float = 1.2
     max_decode_len: int = 32
     penalty_form: str = "pow"  # "pow": len^alpha, "gnmt": ((5+len)/6)^alpha
-    penalize_during_search: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -97,12 +95,7 @@ def search(step_fn, config: DecodeConfig) -> list:
     pool = []
     while live:
         candidates = totals[:, None] + np.asarray(step_fn(live))
-        if config.penalize_during_search:
-            key = candidates / _divisor(len(live[0]) + 1, config.length_penalty,
-                                        config.penalty_form)
-        else:
-            key = candidates
-        kept = _top_candidates(key, live, config.beam_size)
+        kept = _top_candidates(candidates, live, config.beam_size)
         parents, toks = np.divmod(kept, candidates.shape[1])
 
         next_live, next_totals = [], []

@@ -124,35 +124,28 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
+    """Multi-head attention's four projections around ``autodiff.attention``,
+    which splits the heads, scores, masks, normalizes and merges them as one
+    graph node. Keys and values stay (B, T, d_model) projections, so the
+    decoder can cache and extend them along the time axis."""
+
     def __init__(self, config, init):
         d = config.d_model
         self.n_heads = config.n_heads
-        self.d_head = d // config.n_heads
         self.wq, self.wk, self.wv, self.wo = (init.matrix(d, d) for _ in range(4))
         self.bq, self.bk, self.bv, self.bo = (init.zeros(d) for _ in range(4))
 
     def __call__(self, queries, keys_values, additive_mask):
         return self.attend(queries, *self.keys_values(keys_values), additive_mask)
 
-    def _heads(self, x, w, bias):
-        b, t, _ = x.shape
-        proj = ad.linear(x, w, bias).reshape(b, t, self.n_heads, self.d_head)
-        return proj.transpose(0, 2, 1, 3)
-
     def keys_values(self, x):
-        """Per-head keys and values of ``x``, each (B, heads, T, d_head)."""
-        return self._heads(x, self.wk, self.bk), self._heads(x, self.wv, self.bv)
+        """Projected keys and values of ``x``, each (B, T, d_model)."""
+        return ad.linear(x, self.wk, self.bk), ad.linear(x, self.wv, self.bv)
 
     def attend(self, queries, k, v, additive_mask):
         """Attention of ``queries`` over projected keys and values; a batch
         of one in ``k`` and ``v`` broadcasts over the queries' batch."""
-        b, s, d = queries.shape
-        q = self._heads(queries, self.wq, self.bq)
-        scores = ad.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.d_head))
-        if additive_mask is not None:
-            scores = scores + Tensor(additive_mask)
-        weights = ad.softmax(scores, axis=-1)
-        ctx = ad.matmul(weights, v).transpose(0, 2, 1, 3).reshape(b, s, d)
+        ctx = ad.attention(ad.linear(queries, self.wq, self.bq), k, v, self.n_heads, additive_mask)
         return ad.linear(ctx, self.wo, self.bo)
 
     def named_params(self, prefix):
@@ -213,8 +206,8 @@ class DecoderLayer:
         h = self.ln1(x)
         k, v = self.self_attn.keys_values(h)
         if past_kv is not None:
-            k = ad.concat([past_kv[0], k], axis=2)
-            v = ad.concat([past_kv[1], v], axis=2)
+            k = ad.concat([past_kv[0], k], axis=1)
+            v = ad.concat([past_kv[1], v], axis=1)
         x = x + drop(self.self_attn.attend(h, k, v, causal_mask))
         x = x + drop(self.cross_attn.attend(self.ln2(x), *cross_kv, enc_pad_mask))
         x = x + drop(self.ff(self.ln3(x)))
@@ -249,7 +242,7 @@ class DecoderCache:
     """What an incremental decoder pass reuses, per layer: the cross-attention
     keys and values of the encoder output, projected once per source, and
     the self-attention keys and values of the ``length`` positions decoded so
-    far (None before the first)."""
+    far (None before the first). All are (B, T, d_model) tensors."""
 
     def __init__(self, decoder, enc_states):
         self.cross = [layer.cross_attn.keys_values(enc_states) for layer in decoder.layers]

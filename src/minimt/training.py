@@ -15,7 +15,9 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -82,7 +84,9 @@ class TrainConfig:
 @dataclass
 class LossBreakdown:
     """Per-task loss components of one step. ``loss`` is the graph root that
-    was (or would be) backpropagated; components are plain floats."""
+    would be backpropagated; after ``train_step`` it holds only that root's
+    value, so a kept breakdown does not keep the step's graph alive.
+    Components are plain floats."""
 
     l_t: float
     l_clm_src: float = 0.0
@@ -229,6 +233,7 @@ def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
     clm_weight = train_config.clm_loss_weight if train_config else 1.0
     bd = compute_losses(model, parallel_batch, src_mono_batch, tgt_mono_batch, clm_weight)
     backward(bd.loss)
+    bd.loss = Tensor(bd.loss.data)
     if train_config and train_config.clip_norm is not None:
         clip_gradients(optimizer.params, train_config.clip_norm)
     optimizer.step()
@@ -358,6 +363,20 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
+def write_atomically(path, write) -> None:
+    """Call ``write`` on a binary file beside ``path`` that then replaces it,
+    so readers see either the old file or the new one, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, model, optimizer: Adam, fingerprint: str, step: int,
                     cursors: dict, meta: dict | None = None) -> None:
     arrays = {}
@@ -375,8 +394,7 @@ def save_checkpoint(path, model, optimizer: Adam, fingerprint: str, step: int,
         "meta": meta or {},
     }
     arrays["__header__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
+    write_atomically(path, lambda f: np.savez(f, **arrays))
 
 
 def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint:
@@ -447,7 +465,8 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     batch plus one monolingual batch per side; monolingual iterators cycle
     with a reshuffle when exhausted. Metric lines are
     step, l_t, l_clm_src, l_clm_tgt, l_mtl, validation-loss, tab separated.
-    Every checkpoint written carries ``meta`` in its header.
+    Each metric line is appended to ``log_path`` when it is logged. Every
+    checkpoint written carries ``meta`` in its header.
     """
     freeze_spec = freeze_spec or FreezeSpec.none()
     trainable = apply_freeze(model, freeze_spec)
@@ -513,14 +532,13 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
             line = _format_log_line(step, last_bd, val)
             log_lines.append(line)
             logger.info("step %d: %s", step, line)
+            if log_path is not None:
+                with open(log_path, "a", encoding="utf-8") as f:
+                    f.write(line + "\n")
         if (checkpoint_path is not None and train_config.checkpoint_interval is not None
                 and step % train_config.checkpoint_interval == 0):
             save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
 
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
-    if log_path is not None:
-        with open(log_path, "a", encoding="utf-8") as f:
-            for line in log_lines:
-                f.write(line + "\n")
     return TrainResult(model=model, log_lines=log_lines, steps_run=step, final_loss=last_bd)

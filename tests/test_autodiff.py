@@ -460,3 +460,106 @@ def test_desk_step_gradients_share_no_memory():
         assert not np.shares_memory(g, root.grad)
         for h in grads[i + 1:]:
             assert not np.shares_memory(g, h)
+
+
+# --- attention: one node against the composition of generic ops it replaces -------
+
+def composed_attention(q, k, v, n_heads, mask=None):
+    """The slow path: heads split and merged by reshape and transpose nodes,
+    and the scores scaled, masked and normalized by separate nodes."""
+    b, s, d = q.shape
+    d_head = d // n_heads
+
+    def heads(x):
+        return x.reshape(x.shape[0], x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
+
+    scores = matmul(heads(q), heads(k).transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d_head))
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    ctx = matmul(softmax(scores, axis=-1), heads(v))
+    return ctx.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+
+def _padding_mask(keep):
+    """(B, T) 1/0 rows -> (B, 1, 1, T) additive mask, as the model builds it."""
+    return ((1.0 - np.asarray(keep, dtype=np.float64)) * -1e9)[:, None, None, :]
+
+
+def _causal_mask(s, t):
+    """``s`` new positions after ``t - s`` earlier ones, as the model builds it."""
+    return (np.triu(np.ones((s, t)), k=t - s + 1) * -1e9)[None, None]
+
+
+# (batch, kv batch, S, T, d_model, heads, mask); the causal case has T == d_head,
+# so a key gradient left in kᵀ's layout would still have the right shape
+ATTENTION_CASES = {
+    "causal": (2, 2, 4, 4, 8, 2, _causal_mask(4, 4)),
+    "causal_after_cache": (2, 2, 2, 5, 8, 2, _causal_mask(2, 5)),
+    "padding": (3, 3, 5, 5, 6, 3, _padding_mask([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
+                                                  [1, 1, 0, 0, 0]])),
+    "no_mask": (2, 2, 3, 3, 8, 2, None),
+    "cross_s_ne_t": (2, 2, 3, 5, 8, 4, _padding_mask([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]])),
+    "shared_kv_batch_of_one": (3, 1, 2, 4, 8, 2, _padding_mask([[1, 1, 1, 0]])),
+}
+
+
+def _attention_inputs(case, seed):
+    b, bk, s, t, d, _, _ = ATTENTION_CASES[case]
+    return [rand((b, s, d), seed), rand((bk, t, d), seed + 1), rand((bk, t, d), seed + 2)]
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_matches_composed_ops(case):
+    _, _, _, _, _, n_heads, mask = ATTENTION_CASES[case]
+    inputs = _attention_inputs(case, 80)
+    weights = rand(inputs[0].shape, 83, requires_grad=False)
+    fast, fast_grads = _grads_of(lambda q, k, v: ad.attention(q, k, v, n_heads, mask),
+                                 inputs, weights)
+    slow, slow_grads = _grads_of(lambda q, k, v: composed_attention(q, k, v, n_heads, mask),
+                                 inputs, weights)
+    assert np.array_equal(fast, slow)
+    for fast_grad, slow_grad in zip(fast_grads, slow_grads):
+        _assert_close(fast_grad, slow_grad)
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_gradient(case):
+    _, _, _, _, _, n_heads, mask = ATTENTION_CASES[case]
+    report = grad_check(scalarize(lambda q, k, v: ad.attention(q, k, v, n_heads, mask)),
+                        _attention_inputs(case, 84), tolerance=1e-6)
+    assert report.passed, f"{case}: {report}"
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_leaves_inputs_and_incoming_gradient_alone(case):
+    _, _, _, _, _, n_heads, mask = ATTENTION_CASES[case]
+    inputs = _attention_inputs(case, 87)
+    before = [t.data.copy() for t in inputs]
+    out = ad.attention(*inputs, n_heads, mask)
+    assert out._children == tuple(inputs)  # one node over the three projections
+    g = np.random.default_rng(90).normal(size=out.shape)
+    g_before = g.copy()
+    out._backward_fn(g)
+    assert np.array_equal(g, g_before)
+    for t, data in zip(inputs, before):
+        assert np.array_equal(t.data, data)
+        assert t.grad.shape == t.data.shape and t.grad.flags.c_contiguous
+
+
+def test_attention_row_with_one_unmasked_key_stays_finite():
+    q, k, v = rand((2, 3, 4), 91, scale=30.0), rand((2, 5, 4), 92, scale=30.0), rand((2, 5, 4), 93)
+    mask = _padding_mask([[0, 0, 1, 0, 0], [1, 1, 1, 1, 1]])
+    out = ad.attention(q, k, v, 2, mask)
+    backward((out * rand(out.shape, 94, requires_grad=False)).sum())
+    assert np.array_equal(out.data[0], np.broadcast_to(v.data[0, 2], (3, 4)))
+    for t in (out, q, k, v):
+        assert np.all(np.isfinite(t.data if t is out else t.grad))
+
+
+def test_attention_shape_errors():
+    with pytest.raises(ShapeError, match="heads"):
+        ad.attention(rand((2, 3, 6), 0), rand((2, 4, 6), 1), rand((2, 4, 6), 2), 4)
+    with pytest.raises(ShapeError):
+        ad.attention(rand((2, 3, 4), 0), rand((3, 4, 4), 1), rand((3, 4, 4), 2), 2)
+    with pytest.raises(ShapeError):
+        ad.attention(rand((2, 3, 4), 0), rand((2, 4, 4), 1), rand((2, 5, 4), 2), 2)

@@ -41,6 +41,9 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"seeed": 3})
     with pytest.raises(ConfigError, match="model.*unknown|unknown key"):
         config_from_dict({"model": {"d_modell": 8}})
+    # a removed option is an unknown key like any other
+    with pytest.raises(ConfigError, match=r"config\.decode: unknown key.*penalize_during_search"):
+        config_from_dict({"decode": {"penalize_during_search": False}})
 
 
 @pytest.mark.parametrize("payload, section", [

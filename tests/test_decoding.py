@@ -189,10 +189,9 @@ def test_ranking_is_by_penalized_score():
 
 
 @pytest.mark.parametrize("form", ["pow", "gnmt"])
-@pytest.mark.parametrize("during", [False, True])
-def test_config_variants_still_match_oracle_exhaustively(form, during):
+def test_config_variants_still_match_oracle_exhaustively(form):
     model = tiny_model(13)
-    config = tiny_config(beam_size=64, penalty_form=form, penalize_during_search=during)
+    config = tiny_config(beam_size=64, penalty_form=form)
     step = _translation_stepper(model, [3, 1], config)
     best_tokens, _, best_score = oracle_best(step, config)
     top = search(step, config)[0]
@@ -290,16 +289,18 @@ def test_cached_stepper_matches_full_decode_through_beam_reorders(kind):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def tuple_sort_search(step_fn, config):
+def tuple_sort_search(step_fn, config, penalized=False):
     """Reference beam search that ranks every candidate as a Python tuple:
-    (-score, tokens), the penalized score with penalize_during_search."""
+    (-summed log-probability, tokens), or with ``penalized`` (-penalized
+    score, tokens). The candidates of a step share a length, so dividing
+    them all by its penalty cannot change which of them are kept."""
     live, pool = [((), 0.0)], []
     while live:
         logprobs = step_fn([tokens for tokens, _ in live])
         candidates = [(tokens + (tok,), total + float(lp))
                       for (tokens, total), row in zip(live, logprobs)
                       for tok, lp in enumerate(row)]
-        if config.penalize_during_search:
+        if penalized:
             def rank(c):
                 return (-score_hypothesis(c[1], len(c[0]), config.length_penalty,
                                           config.penalty_form), c[0])
@@ -336,16 +337,17 @@ def rigged_step(seed, vocab, levels):
 
 
 @pytest.mark.parametrize("form", ["pow", "gnmt"])
-@pytest.mark.parametrize("during", [False, True])
+@pytest.mark.parametrize("penalized_reference", [False, True])
 @pytest.mark.parametrize("levels", [1, 2, 4])
 @pytest.mark.parametrize("beam", [1, 2, 3, 5, 8])
-def test_vectorized_ranking_matches_tuple_sort(form, during, levels, beam):
+def test_vectorized_ranking_matches_tuple_sort(form, penalized_reference, levels, beam):
     config = DecodeConfig(eos_id=2, start_id=3, beam_size=beam, length_penalty=1.2,
-                          max_decode_len=5, penalty_form=form, penalize_during_search=during)
+                          max_decode_len=5, penalty_form=form)
     for seed in range(4):
         step = rigged_step(seed, 5, levels)
         got = [(h.tokens, h.logprob_sum, h.score) for h in search(step, config)]
-        want = [(h.tokens, h.logprob_sum, h.score) for h in tuple_sort_search(step, config)]
+        want = [(h.tokens, h.logprob_sum, h.score)
+                for h in tuple_sort_search(step, config, penalized_reference)]
         assert got == want
 
 

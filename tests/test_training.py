@@ -444,6 +444,32 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(ckpt.adam_m[name], opt.m[name])
 
 
+def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    vocab, data = toy_data()
+    model = tiny_model(vocab)
+    opt = Adam(list(model.named_parameters()), OptimizerConfig())
+    tc = TrainConfig(steps=3, batch_size=4)
+    pb, sb, tb = first_batches(data, tc)
+    train_step(model, pb, sb, tb, opt)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model, opt, "fp", 1, {})
+    saved = {name: p.data.copy() for name, p in model.named_parameters()}
+    train_step(model, pb, sb, tb, opt)
+
+    def savez_then_crash(f, **arrays):
+        f.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, opt, "fp", 2, {})
+    ckpt = load_checkpoint(path)
+    assert ckpt.step == 1
+    for name, data_before in saved.items():
+        assert np.array_equal(ckpt.params[name], data_before)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+
 def test_checkpoint_fingerprint_mismatch(tmp_path):
     vocab, data = toy_data()
     model = tiny_model(vocab)
@@ -511,6 +537,36 @@ def test_validation_split_is_batched_once_per_train_loop(caplog):
     assert sum("truncated" in r.getMessage() for r in caplog.records) == 1
     # the split batched once gives the loss that batching it afresh gives
     assert result.log_lines[-1].split("\t")[5] == repr(validation_loss(model, data, tc))
+
+
+def test_metric_lines_are_on_disk_before_a_crash(tmp_path, monkeypatch):
+    vocab, data = toy_data(with_mono=False)
+    tc = TrainConfig(steps=6, batch_size=4, log_interval=1)
+    full = train_loop(tiny_model(vocab, multitask=False), data, tc, OptimizerConfig())
+    real_step, calls = training.train_step, []
+
+    def crash_at_step_4(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            assert (tmp_path / "metrics.tsv").read_text().splitlines() == full.log_lines[:3]
+            raise RuntimeError("killed")
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "train_step", crash_at_step_4)
+    with pytest.raises(RuntimeError, match="killed"):
+        train_loop(tiny_model(vocab, multitask=False), data, tc, OptimizerConfig(),
+                   log_path=tmp_path / "metrics.tsv")
+    assert (tmp_path / "metrics.tsv").read_text().splitlines() == full.log_lines[:3]
+
+
+def test_train_step_keeps_the_loss_value_but_not_the_graph():
+    vocab, data = toy_data()
+    model = tiny_model(vocab)
+    tc = TrainConfig(steps=1, batch_size=4)
+    bd = train_step(model, *first_batches(data, tc),
+                    Adam(list(model.named_parameters()), OptimizerConfig()))
+    assert bd.loss._children == ()
+    assert bd.loss.item() == pytest.approx(bd.l_mtl, rel=1e-12)
 
 
 def test_fingerprint_is_stable():
