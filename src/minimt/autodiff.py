@@ -399,12 +399,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = gain.data * xhat + bias.data
+    # means as sum then /= d: what ndarray.mean computes, without its Python-level wrapper
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    var = np.multiply(xhat, xhat).sum(axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward_fn(g):
         if bias.requires_grad:
@@ -412,9 +418,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if gain.requires_grad:
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if x.requires_grad:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * term)
+            dx = g * gain.data  # the gradient of xhat, turned in place into x's
+            m1 = dx.sum(axis=-1, keepdims=True)
+            m1 /= d
+            t = dx * xhat
+            m2 = t.sum(axis=-1, keepdims=True)
+            m2 /= d
+            np.multiply(xhat, m2, out=t)
+            dx -= m1
+            dx -= t
+            dx *= inv
+            _accumulate(x, dx)
 
     return _make(out_data, (x, gain, bias), backward_fn)
 

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from minimt.config import ConfigError, decode_config, load_config
-from minimt.data import Vocabulary, read_lines
+from minimt.data import Vocabulary, read_lines, write_atomically
 from minimt.evaluation import corpus_bleu
 from minimt.experiment import (
     ExperimentRunner,
@@ -71,9 +71,13 @@ def cmd_translate(args) -> int:
     max_len = meta["model_config"]["max_len"]
     decode_cfg = decode_config(args, vocab, meta["tgt_lang"], max_len)
     lines = read_lines(args.input)
-    with open(args.output, "w", encoding="utf-8") as f:
+
+    def write(f):  # streamed into a temporary file that replaces the output when done
         for line in lines:
-            f.write(translate_line(model, line, vocab, meta["src_lang"], decode_cfg, max_len) + "\n")
+            hyp = translate_line(model, line, vocab, meta["src_lang"], decode_cfg, max_len)
+            f.write((hyp + "\n").encode("utf-8"))
+
+    write_atomically(args.output, write)
     print(f"translate: {len(lines)} lines -> {args.output}")
     return 0
 

@@ -13,10 +13,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from minimt.data import Vocabulary
+from minimt.data import Vocabulary, write_text_atomically
 from minimt.decoding import DecodeConfig
 from minimt.model import ModelConfig
-from minimt.training import OptimizerConfig, TrainConfig, write_atomically
+from minimt.training import OptimizerConfig, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -63,10 +63,8 @@ def decode_config(settings, vocabulary: Vocabulary, target_language: str,
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented, key-sorted JSON, atomically (see
-    ``training.write_atomically``)."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
+    """Write ``payload`` as indented, key-sorted JSON, atomically."""
+    write_text_atomically(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass

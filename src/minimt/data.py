@@ -8,8 +8,10 @@ the reserved block first (PAD, BOS, EOS, UNK, then language codes sorted).
 from __future__ import annotations
 
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -73,9 +75,7 @@ class Vocabulary:
         return token_id < self.reserved_size
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for tok in self._id_to_token:
-                f.write(tok + "\n")
+        write_text_atomically(path, "".join(tok + "\n" for tok in self._id_to_token))
 
     @classmethod
     def load(cls, path, mode: str = "word") -> "Vocabulary":
@@ -192,6 +192,25 @@ class MonolingualCorpus:
         return self.splits[name]
 
 
+def write_atomically(path, write) -> None:
+    """Call ``write`` on a binary file beside ``path`` that then replaces it,
+    so readers see either the old file or the new one, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text_atomically(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through ``write_atomically``."""
+    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
+
+
 def read_lines(path) -> list[str]:
     try:
         with open(path, encoding="utf-8") as f:
@@ -300,6 +319,12 @@ def _pad_rows(rows, pad_id):
         mat[i, : len(r)] = r
         mask[i, : len(r)] = 1.0
     return mat, mask
+
+
+def stack_padded(arrays, pad_id) -> np.ndarray:
+    """Stack 2-D id arrays row-wise in order, each PAD-padded on the right
+    to the widest one."""
+    return _pad_rows([row for a in arrays for row in a], pad_id)[0]
 
 
 def frame_source(ids, vocab, language):

@@ -15,6 +15,9 @@ import dataclasses
 import hashlib
 import json
 import logging
+import resource
+import sys
+import time
 from pathlib import Path
 
 from minimt import synthetic
@@ -37,6 +40,7 @@ from minimt.data import (
     load_parallel,
     read_lines,
     split_indices,
+    write_text_atomically,
 )
 from minimt.decoding import beam_search
 from minimt.evaluation import ComparisonReport, compare_report, corpus_bleu
@@ -66,6 +70,12 @@ def _sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def _dir_name(direction: str) -> str:
     return direction.replace("->", "-")
 
@@ -87,7 +97,10 @@ class ExperimentRunner:
 
     def _stage(self, name: str, fingerprint: str, outputs, build) -> bool:
         """Run ``build`` unless this stage already completed with the same
-        fingerprint and its outputs still exist. Returns True when built."""
+        fingerprint and its outputs still exist. Returns True when built.
+        A built stage's manifest entry also records its wall-clock
+        ``seconds`` and the process's ``peak_rss_mb`` when it ended; neither
+        bears on whether the stage is cached."""
         outs = [str(p) for p in outputs]
         entry = self.manifest.get("stages", {}).get(name)
         if (entry and entry.get("fingerprint") == fingerprint
@@ -95,6 +108,7 @@ class ExperimentRunner:
             logger.info("[%s] cached", name)
             return False
         logger.info("[%s] running", name)
+        start = time.perf_counter()
         try:
             build()
         except StageFailure:
@@ -102,7 +116,9 @@ class ExperimentRunner:
         except Exception as e:
             raise StageFailure(name, e) from e
         self.manifest.setdefault("stages", {})[name] = {
-            "fingerprint": fingerprint, "outputs": outs}
+            "fingerprint": fingerprint, "outputs": outs,
+            "seconds": round(time.perf_counter() - start, 3),
+            "peak_rss_mb": round(_peak_rss_mb(), 1)}
         self._save_manifest()
         return True
 
@@ -261,8 +277,8 @@ class ExperimentRunner:
                 hyps.append(translate_line(model, src_lines[i], vocab, src_lang, decode_cfg,
                                            self.config.model.max_len))
                 refs.append(" ".join(tgt_lines[i].split()))
-            hyp_path.write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
-            ref_path.write_text("".join(r + "\n" for r in refs), encoding="utf-8")
+            write_text_atomically(hyp_path, "".join(h + "\n" for h in hyps))
+            write_text_atomically(ref_path, "".join(r + "\n" for r in refs))
 
         self._stage(f"translate:{direction}:{regime}", fp, [hyp_path, ref_path], build)
         return hyp_path
@@ -311,8 +327,8 @@ class ExperimentRunner:
                 bleu_path = self.evaluate(direction, regime)
                 scores[direction] = json.loads(bleu_path.read_text())["bleu"]
         report = compare_report(baseline_scores, mtl_scores, self.config.directions)
-        (self.out / "report.txt").write_text(report.render_table(scale=100) + "\n")
-        (self.out / "report.tsv").write_text(report.render_rows(scale=100) + "\n")
+        write_text_atomically(self.out / "report.txt", report.render_table(scale=100) + "\n")
+        write_text_atomically(self.out / "report.tsv", report.render_rows(scale=100) + "\n")
         self._save_manifest()
         return report
 

@@ -3,10 +3,13 @@ and the two assemblies under comparison.
 
 BaselineModel = encoder + one translation decoder. MtlModel = the same
 encoder shared by a translation decoder and a separate causal-LM decoder.
-Blocks are pre-norm residual; positions are sinusoidal; the embedding table
-is shared between input lookups and (by default) every output projection.
-A decoder pass can also run incrementally, over the new positions only,
-against a ``DecoderCache`` of earlier keys and values.
+The CLM decoder cross-attends to the encoding of a two-token ``[LANG] EOS``
+stub only; one CLM pass encodes one stub row per monolingual batch and
+decodes all the batches' rows together, stacked and PAD-padded. Blocks are
+pre-norm residual; positions are sinusoidal; the embedding table is shared
+between input lookups and (by default) every output projection. A decoder
+pass can also run incrementally, over the new positions only, against a
+``DecoderCache`` of earlier keys and values.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from minimt import autodiff as ad
 from minimt.autodiff import ShapeError, Tensor
-from minimt.data import MonoBatch, ParallelBatch
+from minimt.data import MonoBatch, ParallelBatch, stack_padded
 
 
 @dataclass
@@ -398,15 +401,31 @@ class MtlModel(_TransformerBase):
         enc = self.encode_source(batch.src, batch.src_mask)
         return self._decode(self.decoder_t, batch.tgt_in, enc, batch.src_mask)
 
-    def clm_logits(self, batch: MonoBatch) -> Tensor:
-        # The encoder sees only [LANG] + [EOS]: the decoder must model the
-        # sentence causally instead of copying it through cross-attention.
-        b = len(batch)
-        stub = np.stack([batch.dec_in[:, 0],
-                         np.full(b, batch.eos_id, dtype=np.int64)], axis=1)
-        enc_mask = np.ones((b, 2))
-        enc = self.encoder(self._embed(stub), padding_attention_mask(enc_mask), self._drop)
-        return self._decode(self.decoder_clm, batch.dec_in, enc, enc_mask)
+    def clm_logits(self, batches) -> Tensor:
+        """CLM logits of the monolingual ``batches`` (a sequence of
+        ``MonoBatch``), stacked row-wise in the given order and PAD-padded to
+        the widest batch.
+
+        The encoder sees only a ``[LANG] EOS`` stub, so the decoder must model
+        each sentence causally instead of copying it through cross-attention.
+        Every row of a batch shares its language tag, so the encoder runs once
+        over one stub row per batch; each decoder row gathers its batch's stub
+        encoding, and ``decoder_clm`` runs once over all the batches' rows.
+        """
+        stubs = []
+        for batch in batches:
+            tags = batch.dec_in[:, 0]
+            if (tags != tags[0]).any():
+                raise ValueError(f"MonoBatch for {batch.language!r} mixes language tags "
+                                 f"{np.unique(tags).tolist()} in column 0")
+            stubs.append([tags[0], batch.eos_id])
+        stubs = np.array(stubs)
+        enc = self.encoder(self._embed(stubs), padding_attention_mask(np.ones(stubs.shape)),
+                           self._drop)
+        rows = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
+        dec_in = stack_padded([b.dec_in for b in batches], batches[0].pad_id)
+        enc_mask = np.ones((len(rows), 2))
+        return self._decode(self.decoder_clm, dec_in, ad.embedding(enc, rows), enc_mask)
 
 
 def init_params(config: ModelConfig, multitask: bool = False):
@@ -418,10 +437,12 @@ def translation_forward(model, batch: ParallelBatch) -> Tensor:
     return model.translation_logits(batch)
 
 
-def clm_forward(model: MtlModel, batch: MonoBatch) -> Tensor:
+def clm_forward(model: MtlModel, *batches: MonoBatch) -> Tensor:
+    """CLM logits of one or more monolingual batches in one pass (see
+    ``MtlModel.clm_logits``)."""
     if not getattr(model, "multitask", False):
         raise ValueError("CLM forward needs an MtlModel; the baseline has no CLM decoder")
-    return model.clm_logits(batch)
+    return model.clm_logits(batches)
 
 
 @dataclass

@@ -15,14 +15,12 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from minimt.autodiff import Tensor, backward, cross_entropy, no_grad, zero_grads
-from minimt.data import ParallelCorpus, Vocabulary, make_batches
+from minimt.data import ParallelCorpus, Vocabulary, make_batches, stack_padded, write_atomically
 from minimt.model import FreezeSpec, apply_freeze, clm_forward, translation_forward
 
 logger = logging.getLogger(__name__)
@@ -122,22 +120,27 @@ def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=No
     elif not model.multitask:
         raise TrainingError("baseline model needs a parallel batch")
 
-    l_src = l_tgt = 0.0
-    for mono, is_src in ((src_mono_batch, True), (tgt_mono_batch, False)):
-        if mono is None:
-            continue
-        loss = cross_entropy(clm_forward(model, mono), mono.labels, ignore_id=mono.pad_id)
-        if is_src:
-            l_src = loss.item()
-        else:
-            l_tgt = loss.item()
-        terms.append(loss if clm_weight == 1.0 else loss * clm_weight)
+    sides = {side: m for side, m in (("src", src_mono_batch), ("tgt", tgt_mono_batch))
+             if m is not None}
+    l_clm = {}
+    if sides:
+        # one CLM pass over both sides' rows; each side's loss is the mean over
+        # its own label positions, the other side's rows carrying PAD labels
+        monos = list(sides.values())
+        logits = clm_forward(model, *monos)
+        for i, (side, mono) in enumerate(sides.items()):
+            labels = stack_padded([m.labels if j == i else np.full_like(m.labels, m.pad_id)
+                                   for j, m in enumerate(monos)], mono.pad_id)
+            loss = cross_entropy(logits, labels, ignore_id=mono.pad_id)
+            l_clm[side] = loss.item()
+            terms.append(loss if clm_weight == 1.0 else loss * clm_weight)
     if not terms:
         raise TrainingError("no batches given; nothing to optimize")
     root = terms[0]
     for t in terms[1:]:
         root = root + t
-    return LossBreakdown(l_t=l_t, l_clm_src=l_src, l_clm_tgt=l_tgt, loss=root)
+    return LossBreakdown(l_t=l_t, l_clm_src=l_clm.get("src", 0.0),
+                         l_clm_tgt=l_clm.get("tgt", 0.0), loss=root)
 
 
 class Adam:
@@ -361,20 +364,6 @@ class Checkpoint:
     adam_t: dict
     cursors: dict
     meta: dict = field(default_factory=dict)
-
-
-def write_atomically(path, write) -> None:
-    """Call ``write`` on a binary file beside ``path`` that then replaces it,
-    so readers see either the old file or the new one, never a partial one."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            write(f)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(path, model, optimizer: Adam, fingerprint: str, step: int,

@@ -130,6 +130,35 @@ def test_layer_norm_gradient():
     assert report.passed, str(report)
 
 
+def textbook_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Output and (x, gain, bias) gradients by the mean-based formula."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = gain * xhat + bias
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return out, [dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
+
+
+@pytest.mark.parametrize("shape", [(16, 9, 64), (4, 1, 64)])
+def test_layer_norm_is_bit_identical_to_textbook_formula(shape):
+    x, gain, bias = rand(shape, 11, 3.0), rand(shape[-1:], 12), rand(shape[-1:], 13)
+    g = np.random.default_rng(14).normal(size=shape)
+    g_before = g.copy()
+    out = layer_norm(x, gain, bias)
+    out._backward_fn(g)
+    expected_out, expected_grads = textbook_layer_norm(x.data, gain.data, bias.data, g)
+    assert np.array_equal(out.data, expected_out)
+    for t, expected in zip((x, gain, bias), expected_grads):
+        assert np.array_equal(t.grad, expected)
+    assert np.array_equal(g, g_before)
+
+
 def test_layer_norm_dim_mismatch():
     with pytest.raises(ShapeError):
         layer_norm(rand((2, 4), 0), rand((3,), 1), rand((4,), 2))

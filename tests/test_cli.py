@@ -215,6 +215,34 @@ def test_translate_rejects_foreign_vocab(trained_run, tmp_path, capsys):
     assert "vocabulary" in capsys.readouterr().err
 
 
+def test_translate_failing_partway_keeps_the_previous_output(trained_run, tmp_path,
+                                                             monkeypatch, capsys):
+    from minimt import cli
+    out, _, _ = trained_run
+    src = tmp_path / "in.txt"
+    src.write_text("ka1 ka2\nka3\nka4\n")
+    dst = tmp_path / "out.txt"
+    dst.write_text("an earlier translation\n")
+    decoded = []
+
+    def crash_on_second_line(*args, **kwargs):
+        decoded.append(args[1])
+        if len(decoded) == 2:
+            raise RuntimeError("decoder crashed")
+        return translate_line(*args, **kwargs)
+
+    translate_line = cli.translate_line
+    monkeypatch.setattr(cli, "translate_line", crash_on_second_line)
+    assert main(["translate",
+                 "--checkpoint", str(out / "aa-bb" / "mtl" / "checkpoint.npz"),
+                 "--vocab", str(out / "vocab.txt"),
+                 "--input", str(src), "--output", str(dst)]) == 1
+    assert "decoder crashed" in capsys.readouterr().err
+    assert decoded == ["ka1 ka2", "ka3"]
+    assert dst.read_text() == "an earlier translation\n"
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
 # --- evaluate -------------------------------------------------------------------------
 
 def test_evaluate_identical_files_is_100(tmp_path, capsys):
@@ -281,6 +309,45 @@ def test_experiment_outputs_laid_out_per_direction_and_regime(trained_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "config_fingerprint" in manifest
     assert len(manifest["stages"]) == 1 + 4 * 3  # prepare + 4 runs x (train, translate, evaluate)
+
+
+def test_manifest_records_stage_time_and_memory(trained_run):
+    from minimt.experiment import _peak_rss_mb
+    out, config_path, _ = trained_run
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert len(stages) == 1 + 4 * 3
+    for name, entry in stages.items():
+        assert isinstance(entry["seconds"], float) and entry["seconds"] >= 0, name
+        # the run happened in this process, whose peak can only have grown since
+        assert 10 < entry["peak_rss_mb"] <= _peak_rss_mb() + 0.1, name
+    assert all(stages[name]["seconds"] > 0 for name in stages if name.startswith("train:"))
+
+    # the cache is keyed on fingerprint and outputs, not on what a run measured
+    runner = ExperimentRunner(load_config(config_path))
+    runner.manifest["stages"]["prepare"].update(seconds=-1.0, peak_rss_mb=-1.0)
+    assert runner.prepare() is False
+    assert runner.manifest["stages"]["prepare"]["seconds"] == -1.0
+
+
+def test_failed_report_write_keeps_the_previous_report(trained_run, monkeypatch):
+    out, config_path, _ = trained_run
+    before = {name: (out / name).read_bytes() for name in ("report.txt", "report.tsv")}
+    replace, refused = os.replace, []
+
+    def fail_on_reports(src, dst):
+        if os.path.basename(dst) in before:
+            refused.append(os.path.basename(dst))
+            raise OSError("disk full")
+        replace(src, dst)
+
+    runner = ExperimentRunner(load_config(config_path))
+    monkeypatch.setattr(os, "replace", fail_on_reports)
+    with pytest.raises(OSError, match="disk full"):
+        runner.run()
+    monkeypatch.undo()
+    assert refused == ["report.txt"]
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_experiment_deterministic_across_directories(tmp_path):

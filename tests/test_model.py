@@ -40,6 +40,7 @@ def parallel_batch(seed=0, b=2, s=4, t=5, vocab=11):
 def mono_batch(seed=1, b=2, t=4, vocab=11):
     rng = np.random.default_rng(seed)
     dec_in = rng.integers(4, vocab, (b, t)).astype(np.int64)
+    dec_in[:, 0] = dec_in[0, 0]  # one language tag per batch, as make_batches frames it
     labels = rng.integers(4, vocab, (b, t)).astype(np.int64)
     return MonoBatch(dec_in, labels, np.ones((b, t)), "xx", pad_id=0, eos_id=2)
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from minimt.autodiff import Tensor, backward, zero_grads
+from minimt.autodiff import Tensor, backward, cross_entropy, zero_grads
 from minimt.data import (
+    MonoBatch,
     MonolingualCorpus,
     ParallelCorpus,
     ParallelExample,
@@ -13,7 +14,15 @@ from minimt.data import (
     make_batches,
 )
 from minimt import training
-from minimt.model import FreezeSpec, ModelConfig, apply_freeze, init_params
+from minimt.model import (
+    Encoder,
+    FreezeSpec,
+    ModelConfig,
+    apply_freeze,
+    clm_forward,
+    init_params,
+    padding_attention_mask,
+)
 from minimt.training import (
     Adam,
     LossBreakdown,
@@ -318,6 +327,113 @@ def test_joint_gradient_is_sum_of_task_gradients():
         expect = g_t[n] + g_clm[n]
         err = np.linalg.norm(g_joint[n] - expect) / max(np.linalg.norm(expect), 1e-300)
         assert err < 1e-10, (n, err)
+
+
+# --- one CLM pass against the per-batch passes it replaces ---------------------------
+
+def per_batch_clm_logits(model, batch):
+    """The slow path: every row encodes its own [LANG] EOS stub, and the batch
+    is decoded in its own pass."""
+    stub = np.stack([batch.dec_in[:, 0], np.full(len(batch), batch.eos_id)], axis=1)
+    enc_mask = np.ones((len(batch), 2))
+    enc = model.encoder(model._embed(stub), padding_attention_mask(enc_mask), model._drop)
+    return model._decode(model.decoder_clm, batch.dec_in, enc, enc_mask)
+
+
+def uneven_mono_batches(data, narrow="src"):
+    """A source-side batch of 4 rows and a target-side batch of 3 rows; the
+    ``narrow`` side is truncated to two tokens, so the widths differ too."""
+    vocab = data.vocabulary
+    widths = {"src": 4, "tgt": 16} if narrow == "src" else {"src": 16, "tgt": 4}
+    sb = make_batches(data.monolingual["xx"].split("train"), 4, vocab, widths["src"], seed=0,
+                      log_truncation=False)[0]
+    tb = make_batches(data.monolingual["yy"].split("train"), 3, vocab, widths["tgt"], seed=0,
+                      log_truncation=False)[0]
+    narrow_width, wide_width = ((sb, tb) if narrow == "src" else (tb, sb))
+    assert narrow_width.dec_in.shape[1] == 3 < wide_width.dec_in.shape[1]
+    return sb, tb
+
+
+@pytest.mark.parametrize("sides, narrow", [("both", "src"), ("both", "tgt"),
+                                           ("src_only", "src"), ("tgt_only", "src")])
+def test_one_clm_pass_matches_per_batch_passes(sides, narrow):
+    vocab, data = toy_data(n_mono=12, seed=4)
+    model = tiny_model(vocab, seed=3)
+    sb, tb = uneven_mono_batches(data, narrow)
+    sb, tb = {"both": (sb, tb), "src_only": (sb, None), "tgt_only": (None, tb)}[sides]
+    monos = [m for m in (sb, tb) if m is not None]
+    params = model.param_dict()
+    names = [n for n in params if n == "embedding" or n.startswith(("encoder", "decoder_clm"))]
+
+    def grads(root):
+        zero_grads(model.parameters())
+        backward(root)
+        return {n: (np.zeros_like(params[n].data) if params[n].grad is None
+                    else params[n].grad.copy()) for n in names}
+
+    bd = compute_losses(model, None, sb, tb)
+    fast = grads(bd.loss)
+    slow_losses = [cross_entropy(per_batch_clm_logits(model, m), m.labels, ignore_id=m.pad_id)
+                   for m in monos]
+    root = slow_losses[0] if len(slow_losses) == 1 else slow_losses[0] + slow_losses[1]
+    slow = grads(root)
+
+    slow_values = iter(loss.item() for loss in slow_losses)
+    for mono, fast_value in ((sb, bd.l_clm_src), (tb, bd.l_clm_tgt)):
+        if mono is None:
+            assert fast_value == 0.0
+        else:
+            assert fast_value == pytest.approx(next(slow_values), rel=1e-12, abs=0)
+    largest = max(np.abs(g).max() for g in slow.values())
+    for n in names:
+        if n.endswith(".bk"):
+            # a key bias shifts every score of a query alike: its gradient is
+            # zero up to rounding on both paths
+            assert np.abs(fast[n]).max() <= 1e-12 * largest, n
+            continue
+        err = np.linalg.norm(fast[n] - slow[n]) / np.linalg.norm(slow[n])
+        assert err < 1e-10, (n, err)
+
+    # the stacked logits are each batch's own, PAD-padded to the widest
+    stacked = clm_forward(model, *monos).data
+    start = 0
+    for m in monos:
+        own = per_batch_clm_logits(model, m).data
+        got = stacked[start:start + len(m), :own.shape[1]]
+        assert np.abs(got - own).max() <= 1e-12 * np.abs(own).max()
+        start += len(m)
+    assert stacked.shape[:2] == (start, max(m.dec_in.shape[1] for m in monos))
+
+
+def test_mtl_step_runs_the_encoder_twice(monkeypatch):
+    vocab, data = toy_data()
+    model = tiny_model(vocab)
+    tc = TrainConfig(steps=1, batch_size=4)
+    pb, sb, tb = first_batches(data, tc)
+    optimizer = Adam(model.named_parameters(), OptimizerConfig())
+    calls = []
+    original = Encoder.__call__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args[0].shape)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "__call__", spy)
+    train_step(model, pb, sb, tb, optimizer)
+    # the translation batch, then one [LANG] EOS stub row per monolingual batch
+    assert calls == [(len(pb), pb.src.shape[1], model.config.d_model),
+                     (2, 2, model.config.d_model)]
+
+
+def test_clm_pass_rejects_a_batch_that_mixes_language_tags():
+    vocab, data = toy_data()
+    model = tiny_model(vocab)
+    sb, tb = uneven_mono_batches(data)
+    dec_in = sb.dec_in.copy()
+    dec_in[1, 0] = vocab.lang_id("yy")
+    mixed = MonoBatch(dec_in, sb.labels, sb.mask, sb.language, sb.pad_id, sb.eos_id)
+    with pytest.raises(ValueError, match="mixes language tags"):
+        compute_losses(model, None, mixed, tb)
 
 
 def test_decoder_gradient_isolation():
