@@ -211,12 +211,28 @@ def write_text_atomically(path, text: str) -> None:
     write_atomically(path, lambda f: f.write(text.encode("utf-8")))
 
 
-def read_lines(path) -> list[str]:
+def read_lines(path, newline=None) -> list[str]:
+    """The lines of a UTF-8 text file; ``newline`` is ``open``'s (by default
+    universal newlines)."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline=newline) as f:
             return [line.rstrip("\n") for line in f]
     except UnicodeDecodeError as e:
         raise CorpusError(f"{path}: not valid UTF-8 ({e})") from None
+
+
+def read_corpus(path) -> list[str]:
+    """The lines of a corpus file, checked for what would otherwise surface
+    only stages later: a blank line, or a carriage return (which universal
+    newlines would turn into a line break, shifting a parallel file out of
+    alignment), raises a CorpusError naming file:line."""
+    lines = read_lines(path, newline="\n")
+    for number, line in enumerate(lines, 1):
+        if "\r" in line:
+            raise CorpusError(f"{path}:{number}: carriage return; corpora need LF line endings")
+        if not line.strip():
+            raise CorpusError(f"{path}:{number}: blank line")
+    return lines
 
 
 def load_parallel(source_file, target_file, config: SplitConfig, vocabulary: Vocabulary,

@@ -38,8 +38,10 @@ from minimt.data import (
     frame_source,
     load_monolingual,
     load_parallel,
+    read_corpus,
     read_lines,
     split_indices,
+    tokenize,
     write_text_atomically,
 )
 from minimt.decoding import beam_search
@@ -76,6 +78,18 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
+def _warn_over_length(corpora, mode: str, max_len: int) -> None:
+    """Count, in one warning that names the first of them, the lines of the
+    (path, lines) ``corpora`` that batching will truncate: those longer than
+    ``max_len`` less the language tag and EOS."""
+    budget = max_len - 2
+    over = [(path, number) for path, lines in corpora
+            for number, line in enumerate(lines, 1) if len(tokenize(line, mode)) > budget]
+    if over:
+        logger.warning("%d corpus lines have more than %d tokens and will be truncated to "
+                       "model.max_len=%d; the first is %s:%d", len(over), budget, max_len, *over[0])
+
+
 def _dir_name(direction: str) -> str:
     return direction.replace("->", "-")
 
@@ -99,8 +113,9 @@ class ExperimentRunner:
         """Run ``build`` unless this stage already completed with the same
         fingerprint and its outputs still exist. Returns True when built.
         A built stage's manifest entry also records its wall-clock
-        ``seconds`` and the process's ``peak_rss_mb`` when it ended; neither
-        bears on whether the stage is cached."""
+        ``seconds``, the process's ``peak_rss_mb`` when it ended and any
+        fields of the dict ``build`` returns; none bears on whether the stage
+        is cached."""
         outs = [str(p) for p in outputs]
         entry = self.manifest.get("stages", {}).get(name)
         if (entry and entry.get("fingerprint") == fingerprint
@@ -110,7 +125,7 @@ class ExperimentRunner:
         logger.info("[%s] running", name)
         start = time.perf_counter()
         try:
-            build()
+            extra = build() or {}
         except StageFailure:
             raise
         except Exception as e:
@@ -118,7 +133,7 @@ class ExperimentRunner:
         self.manifest.setdefault("stages", {})[name] = {
             "fingerprint": fingerprint, "outputs": outs,
             "seconds": round(time.perf_counter() - start, 3),
-            "peak_rss_mb": round(_peak_rss_mb(), 1)}
+            "peak_rss_mb": round(_peak_rss_mb(), 1), **extra}
         self._save_manifest()
         return True
 
@@ -128,7 +143,10 @@ class ExperimentRunner:
         return self.out / "manifests" / f"{corpus}.json"
 
     def prepare(self) -> bool:
-        """Build the shared vocabulary and persist the split manifests."""
+        """Validate the corpora, build the shared vocabulary and persist the
+        split manifests. A blank line or a carriage return in a corpus fails
+        here with its file:line (see ``data.read_corpus``); lines that
+        batching will truncate are counted in one warning."""
         self.out.mkdir(parents=True, exist_ok=True)
         self.config.validate_files()
         data = self.config.data
@@ -139,18 +157,18 @@ class ExperimentRunner:
 
         def build():
             (self.out / "manifests").mkdir(parents=True, exist_ok=True)
-            src_lines = read_lines(data.parallel_src_file)
-            tgt_lines = read_lines(data.parallel_tgt_file)
+            src_lines = read_corpus(data.parallel_src_file)
+            tgt_lines = read_corpus(data.parallel_tgt_file)
             if len(src_lines) != len(tgt_lines):
                 raise CorpusError(
                     f"line counts differ: {data.parallel_src_file} has {len(src_lines)}, "
                     f"{data.parallel_tgt_file} has {len(tgt_lines)}")
-            all_lines = src_lines + tgt_lines
-            mono_lines = {}
-            for lang in mono_langs:
-                mono_lines[lang] = read_lines(data.mono_files[lang])
-                all_lines += mono_lines[lang]
-            vocab = build_vocab(all_lines, languages=self.config.languages,
+            mono_lines = {lang: read_corpus(data.mono_files[lang]) for lang in mono_langs}
+            corpora = [(data.parallel_src_file, src_lines), (data.parallel_tgt_file, tgt_lines),
+                       *((data.mono_files[lang], mono_lines[lang]) for lang in mono_langs)]
+            _warn_over_length(corpora, data.tokenize_mode, self.config.model.max_len)
+            vocab = build_vocab((line for _, lines in corpora for line in lines),
+                                languages=self.config.languages,
                                 mode=data.tokenize_mode, min_count=data.min_count)
             vocab.save(self.vocab_path)
 
@@ -244,9 +262,10 @@ class ExperimentRunner:
                     "model_config": dataclasses.asdict(model_cfg),
                     "multitask": regime == "mtl"}
             log_path.unlink(missing_ok=True)
-            train_loop(model, TrainData(vocab, parallel, mono), train_cfg, config.optimizer,
-                       freeze_spec=freeze, log_path=log_path, checkpoint_path=ckpt_path,
-                       meta=meta)
+            result = train_loop(model, TrainData(vocab, parallel, mono), train_cfg,
+                                config.optimizer, freeze_spec=freeze, log_path=log_path,
+                                checkpoint_path=ckpt_path, meta=meta)
+            return {"sharded_steps": result.sharded_steps}
 
         self._stage(f"train:{direction}:{regime}", fp, [ckpt_path, log_path], build)
         return ckpt_path

@@ -7,20 +7,40 @@ the two causal-LM cross entropies (source- and target-side monolingual);
 the baseline regime optimizes the translation term alone. All shuffling is
 derived functionally from (seed, epoch/cycle) so a resumed run replays the
 exact batch order of an uninterrupted one.
+
+A step whose batches hold enough padded positions runs data-parallel: its
+batches are split by rows into shards, shard 0 runs on the model in the
+calling thread and the others on replicas in a pool of worker threads, and
+their gradients are summed into the model's before the update (see
+``train_step``). numpy's kernels and BLAS release the interpreter lock, so
+the shards' forward and backward passes overlap on separate cores.
 """
 
 from __future__ import annotations
 
+import copy
+import ctypes
 import dataclasses
 import hashlib
 import json
 import logging
+import os
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from minimt.autodiff import Tensor, backward, cross_entropy, no_grad, zero_grads
-from minimt.data import ParallelCorpus, Vocabulary, make_batches, stack_padded, write_atomically
+from minimt.autodiff import Tensor, backward, cross_entropy, embedding, no_grad, zero_grads
+from minimt.data import (
+    ParallelBatch,
+    ParallelCorpus,
+    Vocabulary,
+    make_batches,
+    stack_padded,
+    write_atomically,
+)
 from minimt.model import FreezeSpec, apply_freeze, clm_forward, translation_forward
 
 logger = logging.getLogger(__name__)
@@ -84,12 +104,14 @@ class LossBreakdown:
     """Per-task loss components of one step. ``loss`` is the graph root that
     would be backpropagated; after ``train_step`` it holds only that root's
     value, so a kept breakdown does not keep the step's graph alive.
-    Components are plain floats."""
+    Components are plain floats. ``shards`` is the number of row shards the
+    step ran in (1 when it ran whole)."""
 
     l_t: float
     l_clm_src: float = 0.0
     l_clm_tgt: float = 0.0
     loss: Tensor | None = field(default=None, repr=False, compare=False)
+    shards: int = field(default=1, compare=False)
 
     @property
     def l_clm(self) -> float:
@@ -100,23 +122,43 @@ class LossBreakdown:
         return self.l_t + self.l_clm
 
 
+def _label_positions(batch) -> int:
+    labels = batch.tgt_labels if isinstance(batch, ParallelBatch) else batch.labels
+    return int(np.count_nonzero(labels != batch.pad_id))
+
+
 def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=None,
-                   clm_weight: float = 1.0) -> LossBreakdown:
+                   clm_weight: float = 1.0, label_totals: dict | None = None) -> LossBreakdown:
     """Forward all active tasks and sum their cross entropies.
 
     PAD label positions are excluded via the batch's pad id. The baseline
     model rejects monolingual batches outright. With ``clm_weight`` != 1 the
     graph root is the weighted sum but the reported components stay raw.
+
+    ``label_totals`` is given when the batches are one row shard of a step:
+    it maps each task ("t", "src", "tgt") to its label positions in the whole
+    step. Each cross entropy, in the root and in the reported components, is
+    then weighted by this shard's share of those positions, so the shards'
+    losses sum to the whole step's means.
     """
     if not model.multitask and (src_mono_batch is not None or tgt_mono_batch is not None):
         raise TrainingError("baseline model cannot consume monolingual batches")
     terms = []
+
+    def score(task, logits, labels, pad_id, weight=1.0):
+        loss = cross_entropy(logits, labels, ignore_id=pad_id)
+        value = loss.item()
+        if label_totals is not None:
+            share = int(np.count_nonzero(labels != pad_id)) / label_totals[task]
+            value *= share
+            weight *= share
+        terms.append(loss if weight == 1.0 else loss * weight)
+        return value
+
     l_t = 0.0
     if parallel_batch is not None:
-        t_loss = cross_entropy(translation_forward(model, parallel_batch),
-                               parallel_batch.tgt_labels, ignore_id=parallel_batch.pad_id)
-        l_t = t_loss.item()
-        terms.append(t_loss)
+        l_t = score("t", translation_forward(model, parallel_batch), parallel_batch.tgt_labels,
+                    parallel_batch.pad_id)
     elif not model.multitask:
         raise TrainingError("baseline model needs a parallel batch")
 
@@ -124,16 +166,15 @@ def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=No
              if m is not None}
     l_clm = {}
     if sides:
-        # one CLM pass over both sides' rows; each side's loss is the mean over
-        # its own label positions, the other side's rows carrying PAD labels
+        # one CLM pass over both sides' rows; each side is scored on its own
+        # rows, gathered out of the stacked logits
         monos = list(sides.values())
         logits = clm_forward(model, *monos)
-        for i, (side, mono) in enumerate(sides.items()):
-            labels = stack_padded([m.labels if j == i else np.full_like(m.labels, m.pad_id)
-                                   for j, m in enumerate(monos)], mono.pad_id)
-            loss = cross_entropy(logits, labels, ignore_id=mono.pad_id)
-            l_clm[side] = loss.item()
-            terms.append(loss if clm_weight == 1.0 else loss * clm_weight)
+        labels = stack_padded([m.labels for m in monos], monos[0].pad_id)
+        bounds = np.cumsum([0] + [len(m) for m in monos])
+        for (side, mono), lo, hi in zip(sides.items(), bounds[:-1], bounds[1:]):
+            own = logits if len(monos) == 1 else embedding(logits, np.arange(lo, hi))
+            l_clm[side] = score(side, own, labels[lo:hi], mono.pad_id, clm_weight)
     if not terms:
         raise TrainingError("no batches given; nothing to optimize")
     root = terms[0]
@@ -228,15 +269,164 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
+# A row shard needs at least this many padded positions (the id matrices'
+# sizes, summed over the step's batches) before its thread pays for itself.
+# On a 2-core x86-64 machine, two threaded halves of a desk-shape step
+# (B=16, median over 12 steps) ran at 0.83x the whole step's speed at up to
+# 848 positions (multitask, 8-12 token sentences) and 0.90x at 688
+# (baseline, 12-20), but 1.22x from 904 (multitask, 12-20) and 1.25x from
+# 944 (baseline, 20-30). Desk steps (3-8 tokens, at most ~640 positions)
+# never shard; 40-60 token steps (1,300-1,950) always do.
+SHARD_MIN_POSITIONS = 450
+
+_shard_lock = threading.Lock()
+_shard_pool = None
+_replicas = weakref.WeakKeyDictionary()  # model -> replicas for shards 1, 2, ...
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def shard_count(batches) -> int:
+    """How many row shards a step over ``batches`` (None entries skipped)
+    runs in: the usable cores, capped by the rows of the smallest batch, so
+    every shard gets rows of every batch, and by the step's padded positions
+    over ``SHARD_MIN_POSITIONS``."""
+    batches = [b for b in batches if b is not None]
+    if not batches:
+        return 1
+    positions = sum(b.src.size + b.tgt_in.size if isinstance(b, ParallelBatch) else b.dec_in.size
+                    for b in batches)
+    rows = min(len(b) for b in batches)
+    return max(1, min(_usable_cores(), rows, positions // SHARD_MIN_POSITIONS))
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The process's shard threads, started on first use. Starting them caps
+    glibc at one malloc arena: with an arena per thread, 20 s of two-shard
+    40-60 token baseline steps peaked at 257 MiB RSS, with one at 201 MiB
+    (whole steps: 198 MiB), at the same speed."""
+    global _shard_pool
+    with _shard_lock:
+        if _shard_pool is None:
+            try:
+                mallopt = ctypes.CDLL(None).mallopt
+            except (OSError, AttributeError, TypeError):  # not glibc
+                pass
+            else:
+                mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+                mallopt(-8, 1)  # M_ARENA_MAX
+            _shard_pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
+                                             thread_name_prefix="minimt-shard")
+        return _shard_pool
+
+
+def _replicas_of(model, n: int) -> list:
+    """``n`` replicas of ``model`` for shards 1..n. Their parameter tensors
+    share ``model``'s arrays (re-bound on every call, since ``Adam`` re-homes
+    them) and its frozen set and mode, but own their gradients, which start
+    at None. The read-only position table is shared too."""
+    params = model.parameters()
+    with _shard_lock:
+        replicas = _replicas.setdefault(model, [])
+        while len(replicas) < n:
+            memo = {id(p.data): p.data for p in params}
+            memo[id(model.positions)] = model.positions
+            replicas.append(copy.deepcopy(model, memo))
+        replicas = replicas[:n]
+    for replica in replicas:
+        replica.training = model.training
+        for p, r in zip(params, replica.parameters()):
+            r.data, r.requires_grad, r.grad = p.data, p.requires_grad, None
+    return replicas
+
+
+def _row_shards(batch, k: int) -> list:
+    """``batch`` split by rows into ``k`` contiguous shards of near-equal
+    size, as views; ``k`` Nones for a missing batch."""
+    if batch is None:
+        return [None] * k
+    arrays = {f.name: getattr(batch, f.name) for f in dataclasses.fields(batch)
+              if isinstance(getattr(batch, f.name), np.ndarray)}
+    n = len(batch)
+    bounds = [i * n // k for i in range(k + 1)]
+    return [dataclasses.replace(batch, **{name: a[lo:hi] for name, a in arrays.items()})
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _forward_backward(model, batches, clm_weight: float, label_totals=None) -> LossBreakdown:
+    """``compute_losses`` and its backward; the breakdown keeps the root's
+    value, not its graph."""
+    bd = compute_losses(model, *batches, clm_weight, label_totals=label_totals)
+    backward(bd.loss)
+    bd.loss = Tensor(bd.loss.data)
+    return bd
+
+
+def _sharded_backward(model, batches, k: int, clm_weight: float) -> LossBreakdown:
+    """Forward and backward the step's ``batches`` in ``k`` row shards, and
+    leave the whole step's gradient on ``model``.
+
+    Shard 0 runs on ``model`` in this thread, shards 1..k-1 on replicas in
+    the worker pool, each with its own dropout generator spawned from the
+    model's. Every shard weights its cross entropies by its share of the
+    step's label positions (see ``compute_losses``), so the replicas' grads,
+    added into the model's in shard order, sum to the whole step's. The
+    first error in shard order is raised once every shard has finished.
+    """
+    totals = {task: _label_positions(b) for task, b in zip(("t", "src", "tgt"), batches)
+              if b is not None}
+    shards = list(zip(*(_row_shards(b, k) for b in batches)))
+    replicas = _replicas_of(model, k - 1)
+    for replica, rng in zip(replicas, model._dropout_rng.spawn(k - 1)):
+        replica._dropout_rng = rng
+
+    pool = _worker_pool()
+    futures = [pool.submit(_forward_backward, r, shard, clm_weight, totals)
+               for r, shard in zip(replicas, shards[1:])]
+    try:
+        bds = [_forward_backward(model, shards[0], clm_weight, totals)]
+    finally:
+        wait(futures)
+    bds += [f.result() for f in futures]
+
+    params = model.parameters()
+    for replica in replicas:
+        for p, r in zip(params, replica.parameters()):
+            if r.grad is not None:
+                if p.grad is None:
+                    p.grad = r.grad
+                else:
+                    p.grad += r.grad
+                r.grad = None
+    return LossBreakdown(l_t=sum(bd.l_t for bd in bds),
+                         l_clm_src=sum(bd.l_clm_src for bd in bds),
+                         l_clm_tgt=sum(bd.l_clm_tgt for bd in bds),
+                         loss=Tensor(sum(bd.loss.item() for bd in bds)), shards=k)
+
+
 def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
                optimizer: Adam, train_config: TrainConfig | None = None) -> LossBreakdown:
     """One optimizer step: forward all active tasks, backward the summed
-    loss, update every non-frozen parameter."""
+    loss, update every non-frozen parameter.
+
+    A step of ``shard_count`` > 1 row shards runs them in parallel threads
+    (see ``_sharded_backward``); its losses and gradients match the whole
+    step's up to rounding. A step of one shard runs whole in this thread and
+    starts no thread, so small steps are computed exactly as before.
+    """
     zero_grads(model.parameters())
     clm_weight = train_config.clm_loss_weight if train_config else 1.0
-    bd = compute_losses(model, parallel_batch, src_mono_batch, tgt_mono_batch, clm_weight)
-    backward(bd.loss)
-    bd.loss = Tensor(bd.loss.data)
+    batches = (parallel_batch, src_mono_batch, tgt_mono_batch)
+    k = shard_count(batches)
+    if k == 1:
+        bd = _forward_backward(model, batches, clm_weight)
+    else:
+        bd = _sharded_backward(model, batches, k, clm_weight)
     if train_config and train_config.clip_norm is not None:
         clip_gradients(optimizer.params, train_config.clip_norm)
     optimizer.step()
@@ -437,6 +627,7 @@ class TrainResult:
     log_lines: list
     steps_run: int
     final_loss: LossBreakdown | None
+    sharded_steps: int = 0  # steps that ran in more than one row shard
 
 
 def _format_log_line(step, bd: LossBreakdown, val) -> str:
@@ -455,7 +646,8 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     with a reshuffle when exhausted. Metric lines are
     step, l_t, l_clm_src, l_clm_tgt, l_mtl, validation-loss, tab separated.
     Each metric line is appended to ``log_path`` when it is logged. Every
-    checkpoint written carries ``meta`` in its header.
+    checkpoint written carries ``meta`` in its header. The result's
+    ``sharded_steps`` counts the steps that ran in row shards on threads.
     """
     freeze_spec = freeze_spec or FreezeSpec.none()
     trainable = apply_freeze(model, freeze_spec)
@@ -507,6 +699,7 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     model.train()
     log_lines = []
     last_bd = None
+    sharded_steps = 0
     while step < total_steps:
         clm_turn = mtl and train_config.mixing == "round_robin" and step % 2 == 1
         pb = None if clm_turn else trans_iter.next()
@@ -515,6 +708,7 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
         else:
             sb = tb = None
         last_bd = train_step(model, pb, sb, tb, optimizer, train_config)
+        sharded_steps += last_bd.shards > 1
         step += 1
         if step % train_config.log_interval == 0 or step == total_steps:
             val = validation_loss(model, data, train_config, val_batches)
@@ -530,4 +724,5 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
 
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
-    return TrainResult(model=model, log_lines=log_lines, steps_run=step, final_loss=last_bd)
+    return TrainResult(model=model, log_lines=log_lines, steps_run=step, final_loss=last_bd,
+                       sharded_steps=sharded_steps)

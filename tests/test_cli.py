@@ -1,11 +1,16 @@
 import json
+import logging
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from minimt import training
 from minimt.cli import main
 from minimt.config import ConfigError, config_from_dict, load_config
-from minimt.experiment import ExperimentRunner, make_preset
+from minimt.data import CorpusError, SplitConfig, split_indices
+from minimt.experiment import ExperimentRunner, StageFailure, make_preset
 
 
 def fast_smoke(out_dir, seed=0, steps=6):
@@ -129,6 +134,59 @@ def test_prepare_oversize_split_names_corpus(tmp_path, capsys):
     assert main(["prepare", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "parallel" in err and "prepare" in err
+
+
+def rewrite_line(path, index, text):
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines[index] = text
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
+
+
+def test_blank_test_reference_fails_at_prepare_not_at_evaluate(tmp_path, capsys):
+    config = fast_smoke(tmp_path / "run")
+    tgt = config.data.parallel_tgt_file
+    n_lines = len(Path(tgt).read_text(encoding="utf-8").splitlines())
+    split = SplitConfig(*config.data.parallel_split, seed=config.seed)
+    i = split_indices(n_lines, split)["test"][0]
+    rewrite_line(tgt, i, "  ")
+    path = tmp_path / "c.json"
+    config.save(path)
+    assert main(["experiment", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"stage 'prepare' failed: {tgt}:{i + 1}: blank line" in err
+    assert not (tmp_path / "run" / "aa-bb").exists()  # no regime was trained
+
+
+@pytest.mark.parametrize("corpus, ending", [("parallel_src_file", "\r\n"),
+                                            ("mono_aa", "\r")])
+def test_carriage_returns_fail_at_prepare_with_file_and_line(tmp_path, corpus, ending):
+    config = fast_smoke(tmp_path / "run")
+    path = (config.data.mono_files["aa"] if corpus == "mono_aa"
+            else getattr(config.data, corpus))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # universal newlines would read a lone CR as a line break, adding a line
+    Path(path).write_bytes("\n".join(lines[:2] + [lines[2] + ending + lines[3]] + lines[4:])
+                          .encode("utf-8"))
+    with pytest.raises(StageFailure, match=re.escape(f"{path}:3: carriage return")) as info:
+        ExperimentRunner(config).prepare()
+    assert isinstance(info.value.cause, CorpusError)
+
+
+def test_over_length_lines_are_counted_in_one_warning_at_prepare(tmp_path, caplog):
+    config = fast_smoke(tmp_path / "run")
+    config.model.max_len = 6  # 4 tokens after the language tag and EOS
+    files = [config.data.parallel_src_file, config.data.parallel_tgt_file,
+             *(config.data.mono_files[l] for l in sorted(config.data.mono_files))]
+    over = [(f, n) for f in files
+            for n, line in enumerate(Path(f).read_text(encoding="utf-8").splitlines(), 1)
+            if len(line.split()) > 4]
+    assert over
+    with caplog.at_level(logging.WARNING, logger="minimt.experiment"):
+        ExperimentRunner(config).prepare()
+    warnings = [r.getMessage() for r in caplog.records if r.name == "minimt.experiment"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{len(over)} corpus lines have more than 4 tokens")
+    assert warnings[0].endswith(f"the first is {over[0][0]}:{over[0][1]}")
 
 
 # --- train ---------------------------------------------------------------------------
@@ -327,6 +385,23 @@ def test_manifest_records_stage_time_and_memory(trained_run):
     runner.manifest["stages"]["prepare"].update(seconds=-1.0, peak_rss_mb=-1.0)
     assert runner.prepare() is False
     assert runner.manifest["stages"]["prepare"]["seconds"] == -1.0
+
+
+def test_manifest_records_sharded_steps(trained_run, tmp_path, monkeypatch):
+    out, _, _ = trained_run
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    trains = [name for name in stages if name.startswith("train:")]
+    assert len(trains) == 4
+    assert all(stages[name]["sharded_steps"] == 0 for name in trains)  # smoke steps are small
+    assert all("sharded_steps" not in entry for name, entry in stages.items()
+               if name not in trains)
+
+    monkeypatch.setattr(training, "SHARD_MIN_POSITIONS", 1)
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    runner = ExperimentRunner(fast_smoke(tmp_path / "run", steps=4))
+    runner.prepare()
+    runner.train("aa->bb", "mtl")
+    assert runner.manifest["stages"]["train:aa->bb:mtl"]["sharded_steps"] == 4
 
 
 def test_failed_report_write_keeps_the_previous_report(trained_run, monkeypatch):

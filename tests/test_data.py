@@ -17,6 +17,8 @@ from minimt.data import (
     load_monolingual,
     load_parallel,
     make_batches,
+    read_corpus,
+    read_lines,
     split_indices,
 )
 
@@ -167,6 +169,27 @@ def test_load_parallel_rejects_malformed_utf8(tmp_path, vocab):
     ok = write(tmp_path, "ok.yy", ["c", "d"])
     with pytest.raises(CorpusError, match="UTF-8"):
         load_parallel(bad, ok, SplitConfig(1, 0, 0), vocab, "xx", "yy")
+
+
+@pytest.mark.parametrize("content, problem", [
+    (b"a b\n\nc\n", "2: blank line"),
+    (b"a b\n \t\n", "2: blank line"),
+    (b"a b\r\nc\r\n", "1: carriage return"),
+    (b"a\nb\rc\n", "2: carriage return"),
+    (b"a\n\xff\n", "not valid UTF-8"),
+])
+def test_read_corpus_rejects_what_later_stages_would_trip_on(tmp_path, content, problem):
+    path = tmp_path / "c.xx"
+    path.write_bytes(content)
+    with pytest.raises(CorpusError, match=problem) as info:
+        read_corpus(path)
+    assert str(info.value).startswith(str(path))
+
+
+def test_read_corpus_reads_what_read_lines_reads(tmp_path):
+    path = tmp_path / "c.xx"
+    path.write_bytes("a b\nc  d \né\n".encode("utf-8"))
+    assert read_corpus(path) == read_lines(path) == ["a b", "c  d ", "é"]
 
 
 def test_load_monolingual_desk_and_paper_scale(tmp_path, vocab):

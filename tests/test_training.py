@@ -1,12 +1,19 @@
+import copy
+import dataclasses
 import math
+import sys
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from minimt.autodiff import Tensor, backward, cross_entropy, zero_grads
+from minimt.autodiff import EmptyLossError, Tensor, backward, cross_entropy, zero_grads
 from minimt.data import (
     MonoBatch,
     MonolingualCorpus,
+    ParallelBatch,
     ParallelCorpus,
     ParallelExample,
     build_vocab,
@@ -405,6 +412,34 @@ def test_one_clm_pass_matches_per_batch_passes(sides, narrow):
     assert stacked.shape[:2] == (start, max(m.dec_in.shape[1] for m in monos))
 
 
+@pytest.mark.parametrize("narrow", ["src", "tgt"])
+def test_clm_sides_are_scored_on_their_own_rows(monkeypatch, narrow):
+    vocab, data = toy_data(n_mono=12, seed=4)
+    model = tiny_model(vocab, seed=3)
+    sb, tb = uneven_mono_batches(data, narrow)
+    leaf = Tensor(clm_forward(model, sb, tb).data, requires_grad=True)
+    monkeypatch.setattr(training, "clm_forward", lambda m, *batches: leaf)
+    bd = compute_losses(model, None, sb, tb, clm_weight=0.5)
+    backward(bd.loss)
+    own_rows = leaf.grad
+
+    # the reference: each side's cross entropy over all stacked rows, with
+    # the other side's labels set to PAD
+    leaf.grad = None
+    width = leaf.data.shape[1]
+    pad = np.full((len(sb) + len(tb), width), sb.pad_id)
+    refs = []
+    for lo, m in ((0, sb), (len(sb), tb)):
+        labels = pad.copy()
+        labels[lo:lo + len(m), :m.labels.shape[1]] = m.labels
+        refs.append(cross_entropy(leaf, labels, ignore_id=m.pad_id))
+    backward(refs[0] * 0.5 + refs[1] * 0.5)
+    assert np.array_equal(own_rows, leaf.grad)
+    # the means sum the same terms in another order
+    assert bd.l_clm_src == pytest.approx(refs[0].item(), rel=1e-15, abs=0)
+    assert bd.l_clm_tgt == pytest.approx(refs[1].item(), rel=1e-15, abs=0)
+
+
 def test_mtl_step_runs_the_encoder_twice(monkeypatch):
     vocab, data = toy_data()
     model = tiny_model(vocab)
@@ -690,6 +725,248 @@ def test_fingerprint_is_stable():
     b = config_fingerprint({"x": 1}, OptimizerConfig())
     c = config_fingerprint({"x": 2}, OptimizerConfig())
     assert a == b != c
+
+
+# --- data-parallel steps -------------------------------------------------------------
+
+# Sharding only reorders float64 sums (per-row terms of the weight gradients,
+# per-position terms of the loss means), so a sharded step matches the whole
+# one to a few ulps: losses relative to themselves, gradients relative to
+# the largest gradient entry. A key bias's gradient is zero up to rounding,
+# so it is compared to that global scale, not to its own.
+SHARD_LOSS_TOLERANCE = 1e-15
+SHARD_GRAD_TOLERANCE = 1e-14
+
+
+@pytest.fixture
+def shards(monkeypatch):
+    """``shards(k)`` makes every step of at least ``k`` rows run in ``k``
+    row shards, whatever the machine's cores and the step's size."""
+    def force(k):
+        monkeypatch.setattr(training, "SHARD_MIN_POSITIONS", 1)
+        monkeypatch.setattr(training, "_usable_cores", lambda: k)
+    return force
+
+
+class SerialPool:
+    """Runs each submitted shard at once, in the submitting thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+        return future
+
+
+STEP_MODES = {  # model kind, and which of (parallel, src mono, tgt mono) the step gets
+    "baseline": (False, (True, False, False)),
+    "joint": (True, (True, True, True)),
+    "clm_only": (True, (False, True, True)),  # a round-robin CLM turn
+}
+
+
+def shard_step(mode, **model_kw):
+    """A fresh model, its optimizer and one step's batches of 6 rows each."""
+    multitask, present = STEP_MODES[mode]
+    vocab, data = toy_data(n_pairs=14, n_mono=12, with_mono=multitask)
+    model = tiny_model(vocab, multitask=multitask, seed=7, **model_kw)
+    tc = TrainConfig(steps=1, batch_size=6)
+    pb = make_batches(data.parallel.split("train"), 6, vocab, 16, seed=[3, 0])[0]
+    sb = tb = None
+    if multitask:
+        sb, tb = first_batches(data, tc)[1:]
+    batches = [b if keep else None for b, keep in zip((pb, sb, tb), present)]
+    return model, Adam(list(model.named_parameters()), OptimizerConfig()), batches
+
+
+def step_grads(model):
+    return {n: p.grad.copy() for n, p in model.named_parameters() if p.grad is not None}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mode", sorted(STEP_MODES))
+def test_sharded_step_matches_the_whole_step(shards, mode, k):
+    model, opt, batches = shard_step(mode)
+    whole = train_step(model, *batches, opt)
+    whole_grads = step_grads(model)
+    shards(k)
+    model, opt, batches = shard_step(mode)
+    sharded = train_step(model, *batches, opt)
+    sharded_grads = step_grads(model)
+
+    assert (whole.shards, sharded.shards) == (1, k)
+    for field in ("l_t", "l_clm_src", "l_clm_tgt"):
+        a, b = getattr(whole, field), getattr(sharded, field)
+        assert type(b) is float
+        assert abs(a - b) <= SHARD_LOSS_TOLERANCE * abs(a), field
+    assert sharded.loss.item() == pytest.approx(sharded.l_mtl, rel=1e-15)
+    assert sharded.loss._children == ()
+    assert whole_grads.keys() == sharded_grads.keys()
+    largest = max(np.abs(g).max() for g in whole_grads.values())
+    for n, g in whole_grads.items():
+        assert np.abs(sharded_grads[n] - g).max() <= SHARD_GRAD_TOLERANCE * largest, n
+
+
+def test_sharded_steps_are_bit_identical_threaded_or_serial(shards, monkeypatch):
+    shards(4)  # more shards than this machine may have cores
+    threads = set()
+    real_compute = training.compute_losses
+
+    def spy(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real_compute(*args, **kwargs)
+
+    monkeypatch.setattr(training, "compute_losses", spy)
+    runs = []
+    for pool in (None, SerialPool()):
+        if pool is not None:
+            monkeypatch.setattr(training, "_worker_pool", lambda: pool)
+        model, opt, batches = shard_step("joint")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the shard threads as finely as possible
+        try:
+            bds = [train_step(model, *batches, opt) for _ in range(2)]
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append(([(bd.l_t, bd.l_clm_src, bd.l_clm_tgt, bd.loss.item()) for bd in bds],
+                     step_grads(model), {n: p.data.copy() for n, p in model.named_parameters()}))
+        if pool is None:
+            assert any(name.startswith("minimt-shard") for name in threads), threads
+    (losses_a, grads_a, params_a), (losses_b, grads_b, params_b) = runs
+    assert losses_a == losses_b
+    assert grads_a.keys() == grads_b.keys()
+    assert all(np.array_equal(grads_a[n], grads_b[n]) for n in grads_a)
+    assert all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
+
+
+def test_sharded_dropout_draws_from_generators_spawned_per_shard(shards):
+    shards(3)
+    runs = []
+    for _ in range(2):
+        model, opt, batches = shard_step("joint", dropout_rate=0.2)
+        bds = [train_step(model, *batches, opt) for _ in range(2)]
+        rngs = [model._dropout_rng] + [r._dropout_rng for r in training._replicas[model]]
+        states = [rng.bit_generator.state["state"]["state"] for rng in rngs]
+        assert len(set(states)) == 3  # each shard has its own generator and stream
+        runs.append(([(bd.l_t, bd.l_clm_src, bd.l_clm_tgt) for bd in bds],
+                     {n: p.data.copy() for n, p in model.named_parameters()}))
+    assert runs[0][0] == runs[1][0]
+    assert all(np.array_equal(runs[0][1][n], runs[1][1][n]) for n in runs[0][1])
+
+
+def test_an_empty_loss_in_a_worker_shard_reaches_the_caller(shards):
+    shards(2)
+    model, opt, (pb, _, _) = shard_step("baseline")
+    labels = pb.tgt_labels.copy()
+    labels[3:] = pb.pad_id  # the second shard's rows carry no label at all
+    pb = dataclasses.replace(pb, tgt_labels=labels)
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    with pytest.raises(EmptyLossError):
+        train_step(model, pb, None, None, opt)
+    assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
+
+
+def test_a_non_finite_gradient_in_a_worker_shard_aborts_the_step(shards, monkeypatch):
+    shards(2)
+    real_compute = training.compute_losses
+
+    def poison_workers(*args, **kwargs):
+        bd = real_compute(*args, **kwargs)
+        if threading.current_thread() is not threading.main_thread():
+            bd.loss = bd.loss * float("nan")
+        return bd
+
+    monkeypatch.setattr(training, "compute_losses", poison_workers)
+    model, opt, batches = shard_step("joint")
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    with pytest.raises(TrainingError, match="non-finite gradient"):
+        train_step(model, *batches, opt)
+    assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
+
+
+def test_an_error_in_shard_0_is_raised_after_the_workers_finish(shards, monkeypatch):
+    shards(2)
+    real_compute, finished = training.compute_losses, []
+
+    def slow_workers(*args, **kwargs):
+        bd = real_compute(*args, **kwargs)
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+            finished.append(True)
+        return bd
+
+    monkeypatch.setattr(training, "compute_losses", slow_workers)
+    model, opt, (pb, _, _) = shard_step("baseline")
+    labels = pb.tgt_labels.copy()
+    labels[:3] = pb.pad_id  # shard 0's rows carry no label at all
+    with pytest.raises(EmptyLossError):
+        train_step(model, dataclasses.replace(pb, tgt_labels=labels), None, None, opt)
+    assert finished == [True]  # no worker outlives the step that raised
+
+
+def test_replicas_follow_the_arrays_of_a_new_optimizer(shards):
+    shards(2)
+    model, opt, batches = shard_step("joint")
+    train_step(model, *batches, opt)
+    opt = Adam(list(model.named_parameters()), OptimizerConfig())  # re-homes every p.data
+    train_step(model, *batches, opt)  # moves the parameters in their new arrays
+    before = copy.deepcopy(model)
+    train_step(model, *batches, opt)
+    zero_grads(before.parameters())
+    backward(compute_losses(before, *batches).loss)
+    whole = step_grads(before)
+    largest = max(np.abs(g).max() for g in whole.values())
+    for n, g in step_grads(model).items():
+        assert np.abs(g - whole[n]).max() <= SHARD_GRAD_TOLERANCE * largest, n
+
+
+def test_a_one_row_batch_never_shards(shards, monkeypatch):
+    shards(2)
+
+    def no_pool():
+        raise AssertionError("a one-row step started the shard threads")
+
+    monkeypatch.setattr(training, "_worker_pool", no_pool)
+    model, opt, (pb, _, _) = shard_step("baseline")
+    one_row = dataclasses.replace(pb, **{f: getattr(pb, f)[:1] for f in
+                                         ("src", "src_mask", "tgt_in", "tgt_labels", "tgt_mask")})
+    assert train_step(model, one_row, None, None, opt).shards == 1
+
+
+def test_shard_count_keeps_desk_steps_whole_and_splits_long_ones(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+
+    def batch(width, rows=16):
+        ids = np.ones((rows, width), dtype=np.int64)
+        return ParallelBatch(ids, np.ones((rows, width)), ids, ids, np.ones((rows, width)),
+                             "xx", "yy", 0)
+
+    def mono(width, rows=16):
+        ids = np.ones((rows, width), dtype=np.int64)
+        return MonoBatch(ids, ids, np.ones((rows, width)), "xx", 0, 2)
+
+    # the widest desk multitask step: 3-8 token sentences, framed
+    assert training.shard_count((batch(10), mono(9), mono(9))) == 1
+    # the narrowest 40-60 token baseline step
+    assert training.shard_count((batch(42), None, None)) == 2
+    monkeypatch.setattr(training, "_usable_cores", lambda: 64)
+    assert training.shard_count((batch(10), mono(9), mono(9))) == 1
+    assert training.shard_count((batch(600, rows=3), None, None)) == 3  # capped by the rows
+    assert training.shard_count((None, None, None)) == 1
+
+
+def test_train_loop_counts_sharded_steps(shards):
+    vocab, data = toy_data()
+    tc = TrainConfig(steps=4, batch_size=4, log_interval=2, seed=5)
+    whole = train_loop(tiny_model(vocab, seed=2), data, tc, OptimizerConfig(lr=1e-3))
+    shards(2)
+    sharded = train_loop(tiny_model(vocab, seed=2), data, tc, OptimizerConfig(lr=1e-3))
+    assert (whole.sharded_steps, sharded.sharded_steps) == (0, 4)
+    for a, b in zip(whole.log_lines, sharded.log_lines):
+        values = [float(v) for v in b.split("\t")]  # plain floats, as a metrics.tsv line
+        assert values == pytest.approx([float(v) for v in a.split("\t")], rel=1e-9)
 
 
 # --- convergence smoke ------------------------------------------------------------
