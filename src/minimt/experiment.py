@@ -265,7 +265,9 @@ class ExperimentRunner:
             result = train_loop(model, TrainData(vocab, parallel, mono), train_cfg,
                                 config.optimizer, freeze_spec=freeze, log_path=log_path,
                                 checkpoint_path=ckpt_path, meta=meta)
-            return {"sharded_steps": result.sharded_steps}
+            return {"sharded_steps": result.sharded_steps,
+                    "task_split_steps": result.task_split_steps,
+                    "blas_threads": result.blas_threads}
 
         self._stage(f"train:{direction}:{regime}", fp, [ckpt_path, log_path], build)
         return ckpt_path

@@ -8,12 +8,14 @@ the baseline regime optimizes the translation term alone. All shuffling is
 derived functionally from (seed, epoch/cycle) so a resumed run replays the
 exact batch order of an uninterrupted one.
 
-A step whose batches hold enough padded positions runs data-parallel: its
-batches are split by rows into shards, shard 0 runs on the model in the
-calling thread and the others on replicas in a pool of worker threads, and
-their gradients are summed into the model's before the update (see
-``train_step``). numpy's kernels and BLAS release the interpreter lock, so
-the shards' forward and backward passes overlap on separate cores.
+A step whose batches hold enough padded positions runs in parallel parts:
+a long step's batches are split by rows into shards, and a smaller joint
+multitask step into its translation and CLM halves. Part 0 runs on the
+model in the calling thread and the others on replicas in a pool of worker
+threads, and their gradients are summed into the model's before the update
+(see ``train_step``). ``Adam`` gives half of a large update to the same
+pool. numpy's kernels and BLAS release the interpreter lock, so the parts
+overlap on separate cores.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import copy
 import ctypes
 import dataclasses
+import functools
+import glob
 import hashlib
 import json
 import logging
@@ -105,13 +109,15 @@ class LossBreakdown:
     would be backpropagated; after ``train_step`` it holds only that root's
     value, so a kept breakdown does not keep the step's graph alive.
     Components are plain floats. ``shards`` is the number of row shards the
-    step ran in (1 when it ran whole)."""
+    step ran in (1 when it ran whole); ``task_split`` says whether its
+    translation and CLM halves ran on separate threads."""
 
     l_t: float
     l_clm_src: float = 0.0
     l_clm_tgt: float = 0.0
     loss: Tensor | None = field(default=None, repr=False, compare=False)
     shards: int = field(default=1, compare=False)
+    task_split: bool = field(default=False, compare=False)
 
     @property
     def l_clm(self) -> float:
@@ -194,6 +200,11 @@ class Adam:
     views into flat moment buffers. A step updates each run of consecutive
     parameters that have a gradient and share a step count with a few
     in-place ufuncs, in the same elementwise order as the textbook update.
+    It checks and updates the runs in blocks of ``ADAM_BLOCK`` elements, and
+    on a machine with a second usable core gives the second half of the
+    blocks to a worker thread when there are at least ``ADAM_SPLIT_BLOCKS``
+    blocks' worth of elements. Every element sees the same operations either
+    way, so the update is bit-identical.
     """
 
     def __init__(self, named_params, config: OptimizerConfig):
@@ -218,7 +229,6 @@ class Adam:
         zero_grads(p for _, p in self.params)
 
     def step(self):
-        c = self.config
         runs = []  # [start, stop, t] over consecutive parameters with a gradient
         for (name, p), sl, view in zip(self.params, self._slices, self._grad_views):
             if p.grad is None:
@@ -229,15 +239,31 @@ class Adam:
                 runs[-1][1] = sl.stop
             else:
                 runs.append([sl.start, sl.stop, t])
-        for lo, hi, _ in runs:
-            if not np.isfinite(self._grad[lo:hi]).all():
-                name = next(name for (name, p), sl in zip(self.params, self._slices)
-                            if lo <= sl.start < hi and not np.all(np.isfinite(p.grad)))
-                raise TrainingError(f"non-finite gradient in parameter {name!r}; aborting step")
+        blocks = [(b, min(b + ADAM_BLOCK, hi), t)
+                  for lo, hi, t in runs for b in range(lo, hi, ADAM_BLOCK)]
+        if (_usable_cores() > 1
+                and sum(hi - lo for lo, hi, _ in runs) >= ADAM_SPLIT_BLOCKS * ADAM_BLOCK):
+            half = (len(blocks) + 1) // 2
+            parts = [blocks[:half], blocks[half:]]
+        else:
+            parts = [blocks]
+        # every block is checked before any is updated, so a failed step
+        # leaves the moments, the parameters and the step counts as they were
+        if not all(_in_parallel([(self._finite, part) for part in parts])):
+            name = next(name for name, p in self.params
+                        if p.grad is not None and not np.isfinite(p.grad).all())
+            raise TrainingError(f"non-finite gradient in parameter {name!r}; aborting step")
         for name, p in self.params:
             if p.grad is not None:
                 self.t[name] += 1
-        for lo, hi, t in runs:
+        _in_parallel([(self._update, part) for part in parts])
+
+    def _finite(self, blocks) -> bool:
+        return all(np.isfinite(self._grad[lo:hi]).all() for lo, hi, _ in blocks)
+
+    def _update(self, blocks):
+        c = self.config
+        for lo, hi, t in blocks:
             g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
             s1, s2 = self._s1[lo:hi], self._s2[lo:hi]
             m *= c.beta1
@@ -279,9 +305,52 @@ def clip_gradients(params, max_norm: float) -> float:
 # never shard; 40-60 token steps (1,300-1,950) always do.
 SHARD_MIN_POSITIONS = 450
 
+# A joint multitask step that stays whole runs its translation and CLM
+# halves on two threads from this many padded positions times d_model (the
+# size of the step's embedded input). Threads pay only where numpy's
+# kernels, which release the interpreter lock, outweigh the Python
+# overhead of building and walking the graphs, which holds it; that
+# overhead grows with the positions and the kernels with the width too, so
+# neither the positions alone nor the model alone draws the line. On a
+# 2-core x86-64 machine with BLAS on one thread, whole against split steps
+# (forward and backward, 24 steps per row; split speed-up min/median/max):
+#
+#   model (d_model)  B   tokens  positions  x d_model  speed-up
+#   smoke (32)       8   3-6     200-232    6.4-7.4k   0.41/0.56/1.07
+#   smoke (32)       8   3-8     260-296    8.3-9.5k   0.50/0.58/0.99
+#   smoke (32)       8   8-12    360-424    12-14k     0.49/0.72/0.88
+#   smoke (32)       16  3-8     412-592    13-19k     0.59/0.78/1.06
+#   smoke (32)       16  8-12    576-848    18-27k     0.36/0.91/1.52
+#   smoke (32)       24  3-8     564-888    18-28k     0.60/0.97/1.16
+#   desk (64)        4   3-8     116-148    7.4-9.5k   0.61/0.76/1.15
+#   desk (64)        8   3-6     200-232    13-15k     0.65/0.90/1.16
+#   desk (64)        8   3-8     260-296    17-19k     0.73/1.01/1.28
+#   desk (64)        8   8-12    360-424    23-27k     0.90/1.25/1.56
+#   desk (64)        12  3-8     336-444    22-28k     0.89/1.25/1.68
+#   desk (64)        16  3-8     412-592    26-38k     0.96/1.33/1.65
+#   desk (64)        16  8-12    576-848    37-54k     1.11/1.48/1.74
+#
+# So smoke steps (200-232 positions) never split, and desk steps (mostly
+# 406-592; 296 of the 300 MTL steps of desk seed 0) do. Steps of 900
+# positions or more run in row shards instead.
+TASK_SPLIT_MIN_ELEMENTS = 24_576
+
+# Adam updates its flat buffers in blocks of this many elements, so that
+# the dozen passes over one block find it in the core's cache, and gives
+# half of the blocks to a worker thread when the update covers at least
+# ADAM_SPLIT_BLOCKS blocks' worth of elements. On a 2-core x86-64 machine
+# (2 MiB of L2 per core), a 638,848-element update took 13.7 ms unblocked,
+# 12.9 ms in 64k blocks and 7.1 ms in 64k blocks on two threads; 8k blocks
+# on two threads took 16.6 ms. Two blocks already pay: 131,072 elements
+# took 1.6 ms on one thread and 1.1 ms on two.
+ADAM_BLOCK = 65536
+ADAM_SPLIT_BLOCKS = 2
+
 _shard_lock = threading.Lock()
 _shard_pool = None
-_replicas = weakref.WeakKeyDictionary()  # model -> replicas for shards 1, 2, ...
+_replicas = weakref.WeakKeyDictionary()  # model -> replicas for parts 1, 2, ...
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_")
 
 
 def _usable_cores() -> int:
@@ -289,6 +358,11 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         return os.cpu_count() or 1
+
+
+def _positions(batches) -> int:
+    return sum(b.src.size + b.tgt_in.size if isinstance(b, ParallelBatch) else b.dec_in.size
+               for b in batches if b is not None)
 
 
 def shard_count(batches) -> int:
@@ -299,17 +373,61 @@ def shard_count(batches) -> int:
     batches = [b for b in batches if b is not None]
     if not batches:
         return 1
-    positions = sum(b.src.size + b.tgt_in.size if isinstance(b, ParallelBatch) else b.dec_in.size
-                    for b in batches)
     rows = min(len(b) for b in batches)
-    return max(1, min(_usable_cores(), rows, positions // SHARD_MIN_POSITIONS))
+    return max(1, min(_usable_cores(), rows, _positions(batches) // SHARD_MIN_POSITIONS))
+
+
+def splits_by_task(model, batches) -> bool:
+    """Whether a step of ``model`` over ``batches`` (parallel, src mono, tgt
+    mono) that ``shard_count`` keeps whole runs its translation and CLM
+    halves on two threads: a joint multitask step whose padded positions
+    times ``d_model`` reach ``TASK_SPLIT_MIN_ELEMENTS``, with a second usable
+    core."""
+    pb, sb, tb = batches
+    return (pb is not None and (sb is not None or tb is not None) and _usable_cores() > 1
+            and _positions(batches) * model.config.d_model >= TASK_SPLIT_MIN_ELEMENTS)
+
+
+@functools.cache
+def _blas_thread_api():
+    """The (set, get) thread-count functions of numpy's OpenBLAS, looked up
+    by the names its builds export, in numpy's bundled libraries and in the
+    process's global namespace; None when none is found."""
+    bundled = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in [*sorted(glob.glob(os.path.join(bundled, "*openblas*"))), None]:
+        try:
+            lib = ctypes.CDLL(path)
+        except (OSError, TypeError):  # TypeError: no global namespace (Windows)
+            continue
+        for setter in _BLAS_THREAD_SETTERS:
+            getter = setter.replace("_set_", "_get_")
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS runs a call on, or None when
+    it cannot be read."""
+    api = _blas_thread_api()
+    return None if api is None else api[1]()
 
 
 def _worker_pool() -> ThreadPoolExecutor:
-    """The process's shard threads, started on first use. Starting them caps
-    glibc at one malloc arena: with an arena per thread, 20 s of two-shard
-    40-60 token baseline steps peaked at 257 MiB RSS, with one at 201 MiB
-    (whole steps: 198 MiB), at the same speed."""
+    """The process's worker threads, started on first use.
+
+    Starting them caps glibc at one malloc arena: with an arena per thread,
+    20 s of two-shard 40-60 token baseline steps peaked at 257 MiB RSS, with
+    one at 201 MiB (whole steps: 198 MiB), at the same speed. It also caps
+    numpy's OpenBLAS at one thread, whose own threads would otherwise
+    compete with the pool's for the cores: on a 2-core x86-64 machine, two
+    threaded shards of a 40-60 token baseline step took 259-273 ms with
+    OpenBLAS's default thread count and 130-131 ms with one (whole steps:
+    220-235 ms either way).
+    """
     global _shard_pool
     with _shard_lock:
         if _shard_pool is None:
@@ -320,13 +438,33 @@ def _worker_pool() -> ThreadPoolExecutor:
             else:
                 mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
                 mallopt(-8, 1)  # M_ARENA_MAX
+            blas = _blas_thread_api()
+            if blas is None:
+                logger.warning("cannot find numpy's OpenBLAS thread control; set "
+                               "OPENBLAS_NUM_THREADS=1 so that BLAS threads do not compete "
+                               "with minimt's worker threads")
+            else:
+                blas[0](1)
             _shard_pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
                                              thread_name_prefix="minimt-shard")
         return _shard_pool
 
 
+def _in_parallel(calls) -> list:
+    """Run ``calls``, ``(fn, *args)`` tuples, side by side: the first in
+    this thread, the others in the worker pool (not started for one call).
+    Returns their results in order once every call has finished; the first
+    error in that order is raised only then."""
+    futures = [_worker_pool().submit(*call) for call in calls[1:]]
+    try:
+        first = calls[0][0](*calls[0][1:])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
 def _replicas_of(model, n: int) -> list:
-    """``n`` replicas of ``model`` for shards 1..n. Their parameter tensors
+    """``n`` replicas of ``model`` for parts 1..n. Their parameter tensors
     share ``model``'s arrays (re-bound on every call, since ``Adam`` re-homes
     them) and its frozen set and mode, but own their gradients, which start
     at None. The read-only position table is shared too."""
@@ -367,32 +505,25 @@ def _forward_backward(model, batches, clm_weight: float, label_totals=None) -> L
     return bd
 
 
-def _sharded_backward(model, batches, k: int, clm_weight: float) -> LossBreakdown:
-    """Forward and backward the step's ``batches`` in ``k`` row shards, and
-    leave the whole step's gradient on ``model``.
+def _sharded_backward(model, parts, clm_weight: float, label_totals=None) -> LossBreakdown:
+    """Forward and backward the step's ``parts``, each a (parallel, src
+    mono, tgt mono) triple of batches, side by side, and leave the whole
+    step's gradient on ``model``.
 
-    Shard 0 runs on ``model`` in this thread, shards 1..k-1 on replicas in
-    the worker pool, each with its own dropout generator spawned from the
-    model's. Every shard weights its cross entropies by its share of the
-    step's label positions (see ``compute_losses``), so the replicas' grads,
-    added into the model's in shard order, sum to the whole step's. The
-    first error in shard order is raised once every shard has finished.
+    Part 0 runs on ``model`` in this thread, the others on replicas in the
+    worker pool, each with its own dropout generator spawned from the
+    model's. Row shards pass ``label_totals``: every shard weights its cross
+    entropies by its share of the step's label positions (see
+    ``compute_losses``). The two task halves of a joint step need no
+    weights, since each holds all of its tasks' rows. The replicas' grads,
+    added into the model's in part order, sum to the whole step's. The first
+    error in part order is raised once every part has finished.
     """
-    totals = {task: _label_positions(b) for task, b in zip(("t", "src", "tgt"), batches)
-              if b is not None}
-    shards = list(zip(*(_row_shards(b, k) for b in batches)))
-    replicas = _replicas_of(model, k - 1)
-    for replica, rng in zip(replicas, model._dropout_rng.spawn(k - 1)):
+    replicas = _replicas_of(model, len(parts) - 1)
+    for replica, rng in zip(replicas, model._dropout_rng.spawn(len(replicas))):
         replica._dropout_rng = rng
-
-    pool = _worker_pool()
-    futures = [pool.submit(_forward_backward, r, shard, clm_weight, totals)
-               for r, shard in zip(replicas, shards[1:])]
-    try:
-        bds = [_forward_backward(model, shards[0], clm_weight, totals)]
-    finally:
-        wait(futures)
-    bds += [f.result() for f in futures]
+    bds = _in_parallel([(_forward_backward, m, part, clm_weight, label_totals)
+                        for m, part in zip([model, *replicas], parts)])
 
     params = model.parameters()
     for replica in replicas:
@@ -406,7 +537,7 @@ def _sharded_backward(model, batches, k: int, clm_weight: float) -> LossBreakdow
     return LossBreakdown(l_t=sum(bd.l_t for bd in bds),
                          l_clm_src=sum(bd.l_clm_src for bd in bds),
                          l_clm_tgt=sum(bd.l_clm_tgt for bd in bds),
-                         loss=Tensor(sum(bd.loss.item() for bd in bds)), shards=k)
+                         loss=Tensor(sum(bd.loss.item() for bd in bds)))
 
 
 def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
@@ -414,19 +545,28 @@ def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
     """One optimizer step: forward all active tasks, backward the summed
     loss, update every non-frozen parameter.
 
-    A step of ``shard_count`` > 1 row shards runs them in parallel threads
-    (see ``_sharded_backward``); its losses and gradients match the whole
-    step's up to rounding. A step of one shard runs whole in this thread and
-    starts no thread, so small steps are computed exactly as before.
+    A step of ``shard_count`` > 1 row shards runs them in parallel threads,
+    and so does a whole step that ``splits_by_task`` with its translation
+    and CLM halves (see ``_sharded_backward``). Either way its losses and
+    gradients match the whole step's up to rounding. Any other step runs
+    whole in this thread, so small steps are computed exactly as before.
     """
     zero_grads(model.parameters())
     clm_weight = train_config.clm_loss_weight if train_config else 1.0
     batches = (parallel_batch, src_mono_batch, tgt_mono_batch)
     k = shard_count(batches)
-    if k == 1:
-        bd = _forward_backward(model, batches, clm_weight)
+    if k > 1:
+        totals = {task: _label_positions(b) for task, b in zip(("t", "src", "tgt"), batches)
+                  if b is not None}
+        bd = _sharded_backward(model, list(zip(*(_row_shards(b, k) for b in batches))),
+                               clm_weight, totals)
+        bd.shards = k
+    elif splits_by_task(model, batches):
+        bd = _sharded_backward(model, [(parallel_batch, None, None),
+                                       (None, src_mono_batch, tgt_mono_batch)], clm_weight)
+        bd.task_split = True
     else:
-        bd = _sharded_backward(model, batches, k, clm_weight)
+        bd = _forward_backward(model, batches, clm_weight)
     if train_config and train_config.clip_norm is not None:
         clip_gradients(optimizer.params, train_config.clip_norm)
     optimizer.step()
@@ -628,6 +768,8 @@ class TrainResult:
     steps_run: int
     final_loss: LossBreakdown | None
     sharded_steps: int = 0  # steps that ran in more than one row shard
+    task_split_steps: int = 0  # steps whose translation and CLM halves ran on two threads
+    blas_threads: int | None = None  # numpy's OpenBLAS thread count at the end, if readable
 
 
 def _format_log_line(step, bd: LossBreakdown, val) -> str:
@@ -647,7 +789,8 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     step, l_t, l_clm_src, l_clm_tgt, l_mtl, validation-loss, tab separated.
     Each metric line is appended to ``log_path`` when it is logged. Every
     checkpoint written carries ``meta`` in its header. The result's
-    ``sharded_steps`` counts the steps that ran in row shards on threads.
+    ``sharded_steps`` counts the steps that ran in row shards on threads,
+    and ``task_split_steps`` those whose two task halves did.
     """
     freeze_spec = freeze_spec or FreezeSpec.none()
     trainable = apply_freeze(model, freeze_spec)
@@ -699,7 +842,7 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     model.train()
     log_lines = []
     last_bd = None
-    sharded_steps = 0
+    sharded_steps = task_split_steps = 0
     while step < total_steps:
         clm_turn = mtl and train_config.mixing == "round_robin" and step % 2 == 1
         pb = None if clm_turn else trans_iter.next()
@@ -709,6 +852,7 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
             sb = tb = None
         last_bd = train_step(model, pb, sb, tb, optimizer, train_config)
         sharded_steps += last_bd.shards > 1
+        task_split_steps += last_bd.task_split
         step += 1
         if step % train_config.log_interval == 0 or step == total_steps:
             val = validation_loss(model, data, train_config, val_batches)
@@ -725,4 +869,5 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
     return TrainResult(model=model, log_lines=log_lines, steps_run=step, final_loss=last_bd,
-                       sharded_steps=sharded_steps)
+                       sharded_steps=sharded_steps, task_split_steps=task_split_steps,
+                       blas_threads=blas_threads())

@@ -392,16 +392,32 @@ def test_manifest_records_sharded_steps(trained_run, tmp_path, monkeypatch):
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     trains = [name for name in stages if name.startswith("train:")]
     assert len(trains) == 4
-    assert all(stages[name]["sharded_steps"] == 0 for name in trains)  # smoke steps are small
-    assert all("sharded_steps" not in entry for name, entry in stages.items()
-               if name not in trains)
+    # smoke steps are small: no row shards, no task split
+    assert all(stages[name]["sharded_steps"] == 0 for name in trains)
+    assert all(stages[name]["task_split_steps"] == 0 for name in trains)
+    readable = training.blas_threads() is not None
+    assert all((stages[name]["blas_threads"] >= 1) if readable else
+               stages[name]["blas_threads"] is None for name in trains)
+    assert all(key not in entry for name, entry in stages.items() if name not in trains
+               for key in ("sharded_steps", "task_split_steps", "blas_threads"))
 
     monkeypatch.setattr(training, "SHARD_MIN_POSITIONS", 1)
     monkeypatch.setattr(training, "_usable_cores", lambda: 2)
     runner = ExperimentRunner(fast_smoke(tmp_path / "run", steps=4))
     runner.prepare()
     runner.train("aa->bb", "mtl")
-    assert runner.manifest["stages"]["train:aa->bb:mtl"]["sharded_steps"] == 4
+    entry = runner.manifest["stages"]["train:aa->bb:mtl"]
+    assert (entry["sharded_steps"], entry["task_split_steps"]) == (4, 0)
+
+    monkeypatch.setattr(training, "SHARD_MIN_POSITIONS", 10**9)
+    monkeypatch.setattr(training, "TASK_SPLIT_MIN_ELEMENTS", 1)
+    runner = ExperimentRunner(fast_smoke(tmp_path / "split", steps=4))
+    runner.prepare()
+    runner.train("aa->bb", "mtl")
+    entry = runner.manifest["stages"]["train:aa->bb:mtl"]
+    assert (entry["sharded_steps"], entry["task_split_steps"]) == (0, 4)
+    if training.blas_threads() is not None:
+        assert entry["blas_threads"] == 1  # the worker pool caps BLAS at one thread
 
 
 def test_failed_report_write_keeps_the_previous_report(trained_run, monkeypatch):

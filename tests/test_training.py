@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import logging
 import math
+import re
 import sys
 import threading
 import time
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,7 +197,7 @@ def _reference_adam_step(params, m, v, t, c):
         p.data -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
 
 
-def test_flat_adam_is_bit_identical_to_per_tensor_adam():
+def _check_adam_against_reference(steps=24):
     vocab, data = toy_data()
     model, reference = tiny_model(vocab), tiny_model(vocab)
     spec = FreezeSpec.first_half_encoder(model)
@@ -206,7 +209,7 @@ def test_flat_adam_is_bit_identical_to_per_tensor_adam():
     t = {n: 0 for n, _ in ref_params}
     pb, sb, tb = first_batches(data, TrainConfig(steps=1, batch_size=4))
     skipped = set()
-    for step in range(24):
+    for step in range(steps):
         # round-robin mixing: translation and CLM turns touch different decoders
         batches = (None, sb, tb) if step % 2 else (pb, None, None)
         train_step(model, *batches, opt)
@@ -222,6 +225,58 @@ def test_flat_adam_is_bit_identical_to_per_tensor_adam():
             assert np.array_equal(opt.v[name], v[name]), (step, name)
         assert opt.t == t
     assert skipped and len(set(t.values())) > 1
+
+
+def test_flat_adam_is_bit_identical_to_per_tensor_adam():
+    _check_adam_against_reference()
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_blocked_adam_is_bit_identical_to_per_tensor_adam(monkeypatch, threaded):
+    # 37-element blocks cut through parameters and through runs of equal
+    # step counts; on two cores, a second block's worth of elements already
+    # hands half of the blocks to the worker
+    monkeypatch.setattr(training, "ADAM_BLOCK", 37)
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2 if threaded else 1)
+    monkeypatch.setattr(training, "ADAM_SPLIT_BLOCKS", 2)
+    threads, real_update = set(), Adam._update
+
+    def spy(self, blocks):
+        threads.add(threading.current_thread().name)
+        return real_update(self, blocks)
+
+    monkeypatch.setattr(Adam, "_update", spy)
+    _check_adam_against_reference(steps=8)
+    workers = {name for name in threads if name.startswith("minimt-shard")}
+    assert bool(workers) == threaded, threads
+
+
+def test_a_non_finite_gradient_in_adams_worker_half_aborts_before_any_update(monkeypatch):
+    monkeypatch.setattr(training, "ADAM_BLOCK", 37)
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    vocab, data = toy_data()
+    model = tiny_model(vocab)
+    opt = Adam(list(model.named_parameters()), OptimizerConfig())
+    pb, sb, tb = first_batches(data, TrainConfig(steps=1, batch_size=4))
+    train_step(model, pb, sb, tb, opt)  # moments and step counts away from zero
+    zero_grads(model.parameters())
+    backward(compute_losses(model, pb, sb, tb).loss)
+    name, p = list(model.named_parameters())[-1]  # in the last block: the worker's half
+    p.grad[...] = np.inf
+    state = [a.copy() for a in (opt._m, opt._v, opt._data)], dict(opt.t)
+    checked = []
+    real_finite = Adam._finite
+
+    def spy(self, blocks):
+        checked.append((threading.current_thread().name, blocks[-1][1] == opt._data.size))
+        return real_finite(self, blocks)
+
+    monkeypatch.setattr(Adam, "_finite", spy)
+    with pytest.raises(TrainingError, match=re.escape(repr(name))):
+        opt.step()
+    assert any(thread.startswith("minimt-shard") and holds_last for thread, holds_last in checked)
+    assert all(np.array_equal(a, b) for a, b in zip(state[0], (opt._m, opt._v, opt._data)))
+    assert opt.t == state[1]
 
 
 def test_adam_state_survives_checkpoint_and_continues_bit_identically(tmp_path):
@@ -964,9 +1019,214 @@ def test_train_loop_counts_sharded_steps(shards):
     shards(2)
     sharded = train_loop(tiny_model(vocab, seed=2), data, tc, OptimizerConfig(lr=1e-3))
     assert (whole.sharded_steps, sharded.sharded_steps) == (0, 4)
+    assert (whole.task_split_steps, sharded.task_split_steps) == (0, 0)
     for a, b in zip(whole.log_lines, sharded.log_lines):
         values = [float(v) for v in b.split("\t")]  # plain floats, as a metrics.tsv line
         assert values == pytest.approx([float(v) for v in a.split("\t")], rel=1e-9)
+
+
+# --- task-split steps ---------------------------------------------------------------
+
+@pytest.fixture
+def task_split(monkeypatch):
+    """Makes every joint step run its translation and CLM halves on two
+    threads, whatever its size; the toy steps stay below the row shards'."""
+    monkeypatch.setattr(training, "TASK_SPLIT_MIN_ELEMENTS", 1)
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+
+
+def test_task_split_step_matches_the_whole_step(monkeypatch):
+    model, opt, batches = shard_step("joint")
+    whole = train_step(model, *batches, opt)
+    whole_grads = step_grads(model)
+    monkeypatch.setattr(training, "TASK_SPLIT_MIN_ELEMENTS", 1)
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    model, opt, batches = shard_step("joint")
+    split = train_step(model, *batches, opt)
+    split_grads = step_grads(model)
+
+    assert (whole.shards, whole.task_split, split.shards, split.task_split) == (1, False, 1, True)
+    for field in ("l_t", "l_clm_src", "l_clm_tgt"):
+        a, b = getattr(whole, field), getattr(split, field)
+        assert type(b) is float
+        assert abs(a - b) <= SHARD_LOSS_TOLERANCE * abs(a), field
+    assert split.loss.item() == pytest.approx(split.l_mtl, rel=1e-15)
+    assert split.loss._children == ()
+    assert whole_grads.keys() == split_grads.keys()
+    largest = max(np.abs(g).max() for g in whole_grads.values())
+    for n, g in whole_grads.items():
+        assert np.abs(split_grads[n] - g).max() <= SHARD_GRAD_TOLERANCE * largest, n
+
+
+def test_task_split_steps_are_bit_identical_threaded_or_serial(task_split, monkeypatch):
+    threads = {}
+    real_compute = training.compute_losses
+
+    def spy(model, parallel_batch, *args, **kwargs):
+        task = "t" if parallel_batch is not None else "clm"
+        threads.setdefault(task, set()).add(threading.current_thread().name)
+        return real_compute(model, parallel_batch, *args, **kwargs)
+
+    monkeypatch.setattr(training, "compute_losses", spy)
+    runs = []
+    for pool in (None, SerialPool()):
+        if pool is not None:
+            monkeypatch.setattr(training, "_worker_pool", lambda: pool)
+        model, opt, batches = shard_step("joint")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two halves as finely as possible
+        try:
+            bds = [train_step(model, *batches, opt) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(bd.task_split for bd in bds)
+        runs.append(([(bd.l_t, bd.l_clm_src, bd.l_clm_tgt, bd.loss.item()) for bd in bds],
+                     step_grads(model), {n: p.data.copy() for n, p in model.named_parameters()}))
+        if pool is None:
+            assert threads["t"] == {threading.main_thread().name}
+            assert all(name.startswith("minimt-shard") for name in threads["clm"]), threads
+    (losses_a, grads_a, params_a), (losses_b, grads_b, params_b) = runs
+    assert losses_a == losses_b
+    assert grads_a.keys() == grads_b.keys()
+    assert all(np.array_equal(grads_a[n], grads_b[n]) for n in grads_a)
+    assert all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
+
+
+def test_the_clm_half_draws_dropout_from_a_spawned_generator(task_split):
+    runs = []
+    for _ in range(2):
+        model, opt, batches = shard_step("joint", dropout_rate=0.2)
+        bds = [train_step(model, *batches, opt) for _ in range(2)]
+        replica, = training._replicas[model]
+        states = [rng.bit_generator.state["state"]["state"]
+                  for rng in (model._dropout_rng, replica._dropout_rng)]
+        assert states[0] != states[1]  # each half has its own generator and stream
+        assert replica._dropout_rng is not model._dropout_rng
+        runs.append(([(bd.l_t, bd.l_clm_src, bd.l_clm_tgt) for bd in bds],
+                     {n: p.data.copy() for n, p in model.named_parameters()}))
+    assert runs[0][0] == runs[1][0]
+    assert all(np.array_equal(runs[0][1][n], runs[1][1][n]) for n in runs[0][1])
+
+
+def _slow_main_half(monkeypatch, finished):
+    real_compute = training.compute_losses
+
+    def slow_main(*args, **kwargs):
+        bd = real_compute(*args, **kwargs)
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.2)
+            finished.append(True)
+        return bd
+
+    monkeypatch.setattr(training, "compute_losses", slow_main)
+
+
+def test_an_empty_loss_in_the_clm_half_reaches_the_caller(task_split, monkeypatch):
+    finished = []
+    _slow_main_half(monkeypatch, finished)
+    model, opt, (pb, sb, tb) = shard_step("joint")
+    sb = dataclasses.replace(sb, labels=np.full_like(sb.labels, sb.pad_id))
+    tb = dataclasses.replace(tb, labels=np.full_like(tb.labels, tb.pad_id))
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    with pytest.raises(EmptyLossError):
+        train_step(model, pb, sb, tb, opt)
+    assert finished == [True]  # raised once the translation half had finished
+    assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
+
+
+def test_a_non_finite_gradient_in_the_clm_half_aborts_the_step(task_split, monkeypatch):
+    real_compute = training.compute_losses
+
+    def poison_worker(*args, **kwargs):
+        bd = real_compute(*args, **kwargs)
+        if threading.current_thread() is not threading.main_thread():
+            bd.loss = bd.loss * float("nan")
+        return bd
+
+    monkeypatch.setattr(training, "compute_losses", poison_worker)
+    model, opt, batches = shard_step("joint")
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    with pytest.raises(TrainingError, match="non-finite gradient in parameter 'embedding'"):
+        train_step(model, *batches, opt)
+    assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
+    assert set(opt.t.values()) == {0}
+
+
+def test_splits_by_task_keeps_smoke_and_single_task_steps_whole(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    smoke, desk = (SimpleNamespace(config=SimpleNamespace(d_model=d)) for d in (32, 64))
+
+    def batch(rows, src, tgt):
+        return ParallelBatch(np.ones((rows, src), dtype=np.int64), np.ones((rows, src)),
+                             np.ones((rows, tgt), dtype=np.int64),
+                             np.ones((rows, tgt), dtype=np.int64), np.ones((rows, tgt)),
+                             "xx", "yy", 0)
+
+    def mono(rows, width):
+        ids = np.ones((rows, width), dtype=np.int64)
+        return MonoBatch(ids, ids, np.ones((rows, width)), "xx", 0, 2)
+
+    # the widest smoke step (3-6 token sentences, B=8): 232 positions
+    widest_smoke = (batch(8, 8, 7), mono(8, 7), mono(8, 7))
+    assert not training.splits_by_task(smoke, widest_smoke)
+    # a desk step (3-8 tokens, B=16) narrower than any seen (406 positions)
+    narrow_desk = (batch(16, 7, 6), mono(16, 6), mono(16, 6))
+    assert training._positions(narrow_desk) == 400
+    assert training.splits_by_task(desk, narrow_desk)
+    assert not training.splits_by_task(smoke, narrow_desk)
+    # round-robin turns carry one task only, however large
+    wide = (batch(16, 60, 60), mono(16, 60), mono(16, 60))
+    assert not training.splits_by_task(desk, (wide[0], None, None))
+    assert not training.splits_by_task(desk, (None, *wide[1:]))
+    assert training.splits_by_task(desk, (wide[0], wide[1], None))
+    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+    assert not training.splits_by_task(desk, narrow_desk)
+
+
+def test_smoke_and_round_robin_steps_never_start_a_thread(monkeypatch):
+    def no_pool():
+        raise AssertionError("a step started the worker threads")
+
+    monkeypatch.setattr(training, "_worker_pool", no_pool)
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    vocab, data = toy_data(n_pairs=40, n_mono=30)
+    smoke_shape = dict(d_model=32, n_heads=2, n_enc_layers=2, n_dec_layers=2, d_ff=64)
+    for mixing in ("joint", "round_robin"):
+        model = init_params(ModelConfig(vocab_size=len(vocab), max_len=24, **smoke_shape),
+                            multitask=True)
+        tc = TrainConfig(steps=4, batch_size=8, log_interval=4, mixing=mixing)
+        result = train_loop(model, data, tc, OptimizerConfig())
+        assert (result.sharded_steps, result.task_split_steps) == (0, 0)
+    # with the gate at its lowest, a round-robin turn still carries one task
+    monkeypatch.setattr(training, "TASK_SPLIT_MIN_ELEMENTS", 1)
+    model = tiny_model(vocab)
+    tc = TrainConfig(steps=4, batch_size=8, log_interval=4, mixing="round_robin")
+    assert train_loop(model, data, tc, OptimizerConfig()).task_split_steps == 0
+
+
+def test_the_worker_pool_caps_blas_at_one_thread(task_split):
+    if training._blas_thread_api() is None:
+        pytest.skip("no OpenBLAS thread control found in this numpy")
+    model, opt, batches = shard_step("joint")
+    assert train_step(model, *batches, opt).task_split
+    assert training._blas_thread_api()[1]() == 1
+    vocab, data = toy_data()
+    result = train_loop(tiny_model(vocab), data, TrainConfig(steps=2, batch_size=4),
+                        OptimizerConfig())
+    assert (result.task_split_steps, result.blas_threads) == (2, 1)
+
+
+def test_the_worker_pool_warns_once_when_it_cannot_cap_blas(monkeypatch, caplog):
+    monkeypatch.setattr(training, "_blas_thread_api", lambda: None)
+    monkeypatch.setattr(training, "_shard_pool", None)  # the real pool comes back afterwards
+    with caplog.at_level(logging.WARNING, logger="minimt.training"):
+        pool = training._worker_pool()
+        try:
+            assert training._worker_pool() is pool
+        finally:
+            pool.shutdown()
+    assert ["OpenBLAS" in r.getMessage() for r in caplog.records] == [True]
+    assert training.blas_threads() is None
 
 
 # --- convergence smoke ------------------------------------------------------------
