@@ -11,7 +11,7 @@ import logging
 import sys
 from pathlib import Path
 
-from minimt.config import ConfigError, decode_config, load_config
+from minimt.config import ConfigError, DecodeSection, EvaluationSection, decode_config, load_config
 from minimt.data import Vocabulary, read_lines, write_atomically
 from minimt.evaluation import corpus_bleu
 from minimt.experiment import (
@@ -135,17 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, type=Path)
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--beam-size", type=int, default=2)
-    p.add_argument("--length-penalty", type=float, default=1.2)
-    p.add_argument("--max-decode-len", type=int, default=32)
-    p.add_argument("--penalty-form", choices=["pow", "gnmt"], default="pow")
+    decode = DecodeSection()
+    p.add_argument("--beam-size", type=int, default=decode.beam_size)
+    p.add_argument("--length-penalty", type=float, default=decode.length_penalty)
+    p.add_argument("--max-decode-len", type=int, default=decode.max_decode_len)
+    p.add_argument("--penalty-form", choices=["pow", "gnmt"], default=decode.penalty_form)
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("evaluate", help="corpus BLEU of hypotheses against references")
     p.add_argument("--hypotheses", required=True, type=Path)
     p.add_argument("--references", required=True, type=Path)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--k", type=float, default=5.0)
+    evaluation = EvaluationSection()
+    p.add_argument("--max-n", type=int, default=evaluation.max_n)
+    p.add_argument("--k", type=float, default=evaluation.smoothing_k)
     p.add_argument("--macro", action="store_true",
                    help="average per-sentence scores instead of micro-averaging counts")
     p.set_defaults(fn=cmd_evaluate)

@@ -155,7 +155,7 @@ def _translation_stepper(model, source_ids, config: DecodeConfig):
     """
     src = np.asarray(source_ids, dtype=np.int64)[None, :]
     src_mask = np.ones(src.shape, dtype=np.float64)
-    decoder = model.translation_decoder
+    decoder = model.decoder
     with no_grad():
         empty = DecoderCache(decoder, model.encode_source(src, src_mask))
     kept_rows, kept = {}, empty  # the previous call's prefixes -> their rows in kept

@@ -1,8 +1,8 @@
 """Configurable micro-transformer: encoder, decoders with cross-attention,
-and the two assemblies under comparison.
+and ``Transformer``, the one model class for both regimes under comparison.
 
-BaselineModel = encoder + one translation decoder. MtlModel = the same
-encoder shared by a translation decoder and a separate causal-LM decoder.
+The baseline is the embedding, the encoder and one translation decoder; the
+multitask model adds a separate causal-LM decoder that shares that encoder.
 The CLM decoder cross-attends to the encoding of a two-token ``[LANG] EOS``
 stub only; one CLM pass encodes one stub row per monolingual batch and
 decodes all the batches' rows together, stacked and PAD-padded. Blocks are
@@ -23,7 +23,7 @@ import numpy as np
 
 from minimt import autodiff as ad
 from minimt.autodiff import ShapeError, Tensor
-from minimt.data import MonoBatch, ParallelBatch, stack_padded
+from minimt.data import ParallelBatch, stack_padded
 
 
 @dataclass
@@ -289,18 +289,31 @@ class Decoder:
             yield f"{prefix}.proj", self.proj
 
 
-class _TransformerBase:
-    """Embedding, positions, training mode and the encoder-side forward."""
+class Transformer:
+    """Embedding, a shared encoder and the translation decoder ``decoder``;
+    with ``multitask`` also the CLM decoder ``decoder_clm`` (None otherwise).
 
-    def __init__(self, config: ModelConfig):
+    Registry names are the checkpoint contract: the translation decoder's
+    parameters are ``decoder.*`` in the baseline and ``decoder_t.*`` in the
+    multitask model, followed there by ``decoder_clm.*``. Parameters are
+    drawn in that order from one generator, so both regimes share the same
+    embedding, encoder and translation decoder for the same seed.
+    """
+
+    def __init__(self, config: ModelConfig, multitask: bool = False):
         self.config = config
         init = _Init(config.seed)
         self.embedding = init.matrix(config.vocab_size, config.d_model)
         self.encoder = Encoder(config, init)
-        self._init = init  # subclasses keep drawing from the same stream
+        self.decoder = Decoder(config, init)
+        self.decoder_clm = Decoder(config, init) if multitask else None
         self.positions = sinusoidal_positions(config.max_len, config.d_model)
         self.training = True
         self._dropout_rng = np.random.default_rng([config.seed, 0xD0])
+
+    @property
+    def multitask(self) -> bool:
+        return self.decoder_clm is not None
 
     def train(self):
         self.training = True
@@ -347,59 +360,24 @@ class _TransformerBase:
         return decoder(x, enc_states, causal, padding_attention_mask(enc_mask),
                        self.embedding, self._drop, cache=cache)
 
+    def named_parameters(self):
+        yield "embedding", self.embedding
+        yield from self.encoder.named_params("encoder")
+        if self.decoder_clm is None:
+            yield from self.decoder.named_params("decoder")
+        else:
+            yield from self.decoder.named_params("decoder_t")
+            yield from self.decoder_clm.named_params("decoder_clm")
+
     def parameters(self):
         return [t for _, t in self.named_parameters()]
 
     def param_dict(self):
         return dict(self.named_parameters())
 
-
-class BaselineModel(_TransformerBase):
-    """Encoder plus a single translation decoder (translation-only regime)."""
-
-    multitask = False
-
-    def __init__(self, config: ModelConfig):
-        super().__init__(config)
-        self.decoder = Decoder(config, self._init)
-
-    def named_parameters(self):
-        yield "embedding", self.embedding
-        yield from self.encoder.named_params("encoder")
-        yield from self.decoder.named_params("decoder")
-
-    @property
-    def translation_decoder(self):
-        return self.decoder
-
     def translation_logits(self, batch: ParallelBatch) -> Tensor:
         enc = self.encode_source(batch.src, batch.src_mask)
         return self._decode(self.decoder, batch.tgt_in, enc, batch.src_mask)
-
-
-class MtlModel(_TransformerBase):
-    """One shared encoder feeding a translation decoder and a CLM decoder."""
-
-    multitask = True
-
-    def __init__(self, config: ModelConfig):
-        super().__init__(config)
-        self.decoder_t = Decoder(config, self._init)
-        self.decoder_clm = Decoder(config, self._init)
-
-    def named_parameters(self):
-        yield "embedding", self.embedding
-        yield from self.encoder.named_params("encoder")
-        yield from self.decoder_t.named_params("decoder_t")
-        yield from self.decoder_clm.named_params("decoder_clm")
-
-    @property
-    def translation_decoder(self):
-        return self.decoder_t
-
-    def translation_logits(self, batch: ParallelBatch) -> Tensor:
-        enc = self.encode_source(batch.src, batch.src_mask)
-        return self._decode(self.decoder_t, batch.tgt_in, enc, batch.src_mask)
 
     def clm_logits(self, batches) -> Tensor:
         """CLM logits of the monolingual ``batches`` (a sequence of
@@ -412,6 +390,8 @@ class MtlModel(_TransformerBase):
         over one stub row per batch; each decoder row gathers its batch's stub
         encoding, and ``decoder_clm`` runs once over all the batches' rows.
         """
+        if self.decoder_clm is None:
+            raise ValueError("CLM logits need a multitask model; the baseline has no CLM decoder")
         stubs = []
         for batch in batches:
             tags = batch.dec_in[:, 0]
@@ -428,21 +408,13 @@ class MtlModel(_TransformerBase):
         return self._decode(self.decoder_clm, dec_in, ad.embedding(enc, rows), enc_mask)
 
 
-def init_params(config: ModelConfig, multitask: bool = False):
+# the benchmark's tracer patches ``MtlModel.clm_logits`` by this name
+MtlModel = Transformer
+
+
+def init_params(config: ModelConfig, multitask: bool = False) -> Transformer:
     """Build a freshly initialized model; deterministic in config.seed."""
-    return MtlModel(config) if multitask else BaselineModel(config)
-
-
-def translation_forward(model, batch: ParallelBatch) -> Tensor:
-    return model.translation_logits(batch)
-
-
-def clm_forward(model: MtlModel, *batches: MonoBatch) -> Tensor:
-    """CLM logits of one or more monolingual batches in one pass (see
-    ``MtlModel.clm_logits``)."""
-    if not getattr(model, "multitask", False):
-        raise ValueError("CLM forward needs an MtlModel; the baseline has no CLM decoder")
-    return model.clm_logits(batches)
+    return Transformer(config, multitask)
 
 
 @dataclass

@@ -45,7 +45,7 @@ from minimt.data import (
     stack_padded,
     write_atomically,
 )
-from minimt.model import FreezeSpec, apply_freeze, clm_forward, translation_forward
+from minimt.model import FreezeSpec, apply_freeze
 
 logger = logging.getLogger(__name__)
 
@@ -163,7 +163,7 @@ def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=No
 
     l_t = 0.0
     if parallel_batch is not None:
-        l_t = score("t", translation_forward(model, parallel_batch), parallel_batch.tgt_labels,
+        l_t = score("t", model.translation_logits(parallel_batch), parallel_batch.tgt_labels,
                     parallel_batch.pad_id)
     elif not model.multitask:
         raise TrainingError("baseline model needs a parallel batch")
@@ -175,7 +175,7 @@ def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=No
         # one CLM pass over both sides' rows; each side is scored on its own
         # rows, gathered out of the stacked logits
         monos = list(sides.values())
-        logits = clm_forward(model, *monos)
+        logits = model.clm_logits(monos)
         labels = stack_padded([m.labels for m in monos], monos[0].pad_id)
         bounds = np.cumsum([0] + [len(m) for m in monos])
         for (side, mono), lo, hi in zip(sides.items(), bounds[:-1], bounds[1:]):
@@ -654,7 +654,7 @@ def token_accuracy(model, batches) -> float:
     correct = total = 0
     with model.eval_mode(), no_grad():
         for b in batches:
-            pred = translation_forward(model, b).data.argmax(axis=-1)
+            pred = model.translation_logits(b).data.argmax(axis=-1)
             mask = b.tgt_labels != b.pad_id
             correct += int((pred[mask] == b.tgt_labels[mask]).sum())
             total += int(mask.sum())

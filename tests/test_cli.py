@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -7,8 +8,14 @@ from pathlib import Path
 import pytest
 
 from minimt import training
-from minimt.cli import main
-from minimt.config import ConfigError, config_from_dict, load_config
+from minimt.cli import build_parser, main
+from minimt.config import (
+    ConfigError,
+    DecodeSection,
+    EvaluationSection,
+    config_from_dict,
+    load_config,
+)
 from minimt.data import CorpusError, SplitConfig, split_indices
 from minimt.experiment import ExperimentRunner, StageFailure, make_preset
 
@@ -329,6 +336,17 @@ def test_evaluate_line_count_mismatch(tmp_path, capsys):
     ref.write_text("a\n")
     assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(ref)]) == 1
     assert "line counts differ" in capsys.readouterr().err
+
+
+def test_translate_and_evaluate_defaults_are_the_config_sections_defaults():
+    defaults = {f.name: f.default for section in (DecodeSection, EvaluationSection)
+                for f in dataclasses.fields(section)}
+    translate = build_parser().parse_args(["translate", "--checkpoint", "c", "--vocab", "v",
+                                           "--input", "i", "--output", "o"])
+    names = ("beam_size", "length_penalty", "max_decode_len", "penalty_form")
+    assert {n: getattr(translate, n) for n in names} == {n: defaults[n] for n in names}
+    evaluate = build_parser().parse_args(["evaluate", "--hypotheses", "h", "--references", "r"])
+    assert (evaluate.max_n, evaluate.k) == (defaults["max_n"], defaults["smoothing_k"])
 
 
 # --- experiment -----------------------------------------------------------------------

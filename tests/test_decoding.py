@@ -229,7 +229,7 @@ def full_decode_logprobs(model, source, config, prefixes):
         enc = model.encode_source(src, mask)
         for p in prefixes:
             ids = np.asarray([(config.start_id,) + tuple(p)], dtype=np.int64)
-            logits = model._decode(model.translation_decoder, ids, enc, mask).data[0, -1]
+            logits = model._decode(model.decoder, ids, enc, mask).data[0, -1]
             rows.append(log_softmax(logits))
     return np.array(rows)
 
@@ -358,7 +358,7 @@ def prefix_redecode_stepper(model, source_ids, config):
     src_mask = np.ones(src.shape, dtype=np.float64)
     with no_grad():
         enc = model.encode_source(src, src_mask)
-    decoder = model.translation_decoder
+    decoder = model.decoder
 
     def step(prefixes):
         b = len(prefixes)

@@ -10,11 +10,9 @@ from minimt.model import (
     FreezeSpec,
     ModelConfig,
     apply_freeze,
-    clm_forward,
     init_params,
     parameter_count,
     sinusoidal_positions,
-    translation_forward,
 )
 
 TINY = dict(vocab_size=11, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
@@ -74,6 +72,21 @@ def test_registry_has_no_duplicates():
     assert len({n for n, _ in params}) == len(params)
 
 
+def test_registry_names_are_the_checkpoint_contract():
+    def top_level(model):
+        return list(dict.fromkeys(n.split(".")[0] for n, _ in model.named_parameters()))
+
+    baseline = init_params(tiny_config())
+    assert not baseline.multitask and baseline.decoder_clm is None
+    assert top_level(baseline) == ["embedding", "encoder", "decoder"]
+    mtl = init_params(tiny_config(), multitask=True)
+    assert mtl.multitask
+    assert top_level(mtl) == ["embedding", "encoder", "decoder_t", "decoder_clm"]
+    # decoder_t.* names the translation decoder, which is model.decoder in both
+    params = mtl.param_dict()
+    assert all(params[n] is p for n, p in mtl.decoder.named_params("decoder_t"))
+
+
 def test_heads_must_divide_d_model():
     with pytest.raises(ValueError, match="divisible"):
         tiny_config(d_model=8, n_heads=3)
@@ -131,11 +144,11 @@ def test_encoder_gradients_against_finite_differences():
 def test_decoder_causality_by_perturbation():
     model = init_params(tiny_config(), multitask=False).eval()
     batch = parallel_batch()
-    base = translation_forward(model, batch).data
+    base = model.translation_logits(batch).data
     for j in range(1, batch.tgt_in.shape[1]):
         mutated = batch.tgt_in.copy()
         mutated[:, j] = (mutated[:, j] - 4 + 1) % 7 + 4  # cyclic shift, never identity
-        out = translation_forward(model, ParallelBatch(
+        out = model.translation_logits(ParallelBatch(
             batch.src, batch.src_mask, mutated, batch.tgt_labels, batch.tgt_mask,
             "xx", "yy", 0)).data
         assert np.array_equal(out[:, :j], base[:, :j]), f"position {j} leaked backwards"
@@ -162,7 +175,7 @@ def test_decoder_gradients_against_finite_differences():
     batch = parallel_batch()
 
     def loss_fn(*_):
-        logits = translation_forward(model, batch)
+        logits = model.translation_logits(batch)
         return cross_entropy(logits, batch.tgt_labels, ignore_id=0)
 
     report = grad_check(loss_fn, model.parameters(), tolerance=1e-4)
@@ -173,7 +186,7 @@ def test_decoder_gradients_against_finite_differences():
 
 def test_translation_logits_shape():
     model = init_params(tiny_config(), multitask=True)
-    logits = translation_forward(model, parallel_batch())
+    logits = model.translation_logits(parallel_batch())
     assert logits.shape == (2, 5, 11)
 
 
@@ -189,19 +202,19 @@ def test_baseline_and_mtl_translation_paths_agree():
             continue
         assert np.array_equal(p.data, base_params[twin].data), name
     batch = parallel_batch()
-    out_b = translation_forward(baseline, batch).data
-    out_m = translation_forward(mtl, batch).data
+    out_b = baseline.translation_logits(batch).data
+    out_m = mtl.translation_logits(batch).data
     assert np.array_equal(out_b, out_m)
 
 
 def test_clm_causality():
     model = init_params(tiny_config(), multitask=True).eval()
     batch = mono_batch()
-    base = clm_forward(model, batch).data
+    base = model.clm_logits([batch]).data
     for j in range(1, batch.dec_in.shape[1]):
         mutated = batch.dec_in.copy()
         mutated[:, j] = (mutated[:, j] - 4 + 1) % 7 + 4
-        out = clm_forward(model, MonoBatch(mutated, batch.labels, batch.mask, "xx", 0, 2)).data
+        out = model.clm_logits([MonoBatch(mutated, batch.labels, batch.mask, "xx", 0, 2)]).data
         assert np.array_equal(out[:, :j], base[:, :j])
         assert not np.array_equal(out[:, j:], base[:, j:])
 
@@ -209,7 +222,7 @@ def test_clm_causality():
 def test_clm_rejects_baseline_model():
     model = init_params(tiny_config(), multitask=False)
     with pytest.raises(ValueError, match="CLM"):
-        clm_forward(model, mono_batch())
+        model.clm_logits([mono_batch()])
 
 
 def test_uniform_model_clm_loss_is_log_vocab():
@@ -217,32 +230,32 @@ def test_uniform_model_clm_loss_is_log_vocab():
     for _, p in model.named_parameters():
         p.data[...] = 0.0
     batch = mono_batch(vocab=32)
-    loss = cross_entropy(clm_forward(model, batch), batch.labels, ignore_id=0)
+    loss = cross_entropy(model.clm_logits([batch]), batch.labels, ignore_id=0)
     assert loss.item() == pytest.approx(math.log(32), rel=1e-12)
 
 
 def test_shared_encoder_isolated_decoders():
     model = init_params(tiny_config(), multitask=True).eval()
     pb, mb = parallel_batch(), mono_batch()
-    t0 = translation_forward(model, pb).data.copy()
-    c0 = clm_forward(model, mb).data.copy()
+    t0 = model.translation_logits(pb).data.copy()
+    c0 = model.clm_logits([mb]).data.copy()
 
     enc_param = model.param_dict()["encoder.layers.0.attn.wq"]
     enc_param.data[0, 0] += 0.5
-    assert not np.array_equal(translation_forward(model, pb).data, t0)
-    assert not np.array_equal(clm_forward(model, mb).data, c0)
+    assert not np.array_equal(model.translation_logits(pb).data, t0)
+    assert not np.array_equal(model.clm_logits([mb]).data, c0)
     enc_param.data[0, 0] -= 0.5
 
     dec_t_param = model.param_dict()["decoder_t.layers.0.ff.w1"]
     dec_t_param.data[0, 0] += 0.5
-    assert np.array_equal(clm_forward(model, mb).data, c0)
-    assert not np.array_equal(translation_forward(model, pb).data, t0)
+    assert np.array_equal(model.clm_logits([mb]).data, c0)
+    assert not np.array_equal(model.translation_logits(pb).data, t0)
     dec_t_param.data[0, 0] -= 0.5
 
     dec_c_param = model.param_dict()["decoder_clm.layers.0.ff.w1"]
     dec_c_param.data[0, 0] += 0.5
-    assert np.array_equal(translation_forward(model, pb).data, t0)
-    assert not np.array_equal(clm_forward(model, mb).data, c0)
+    assert np.array_equal(model.translation_logits(pb).data, t0)
+    assert not np.array_equal(model.clm_logits([mb]).data, c0)
 
 
 def test_decoder_param_sets_disjoint():
@@ -255,20 +268,20 @@ def test_decoder_param_sets_disjoint():
 def test_dropout_zero_forward_deterministic():
     model = init_params(tiny_config(dropout_rate=0.0), multitask=True)
     batch = parallel_batch()
-    a = translation_forward(model, batch).data
-    b = translation_forward(model, batch).data
+    a = model.translation_logits(batch).data
+    b = model.translation_logits(batch).data
     assert np.array_equal(a, b)
 
 
 def test_dropout_active_in_training_mode_only():
     model = init_params(tiny_config(dropout_rate=0.5), multitask=False)
     batch = parallel_batch()
-    a = translation_forward(model, batch).data
-    b = translation_forward(model, batch).data
+    a = model.translation_logits(batch).data
+    b = model.translation_logits(batch).data
     assert not np.array_equal(a, b)
     model.eval()
-    c = translation_forward(model, batch).data
-    d = translation_forward(model, batch).data
+    c = model.translation_logits(batch).data
+    d = model.translation_logits(batch).data
     assert np.array_equal(c, d)
 
 

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,13 +24,12 @@ from minimt.data import (
     encode,
     make_batches,
 )
-from minimt import training
+from minimt import synthetic, training
 from minimt.model import (
     Encoder,
     FreezeSpec,
     ModelConfig,
     apply_freeze,
-    clm_forward,
     init_params,
     padding_attention_mask,
 )
@@ -457,7 +457,7 @@ def test_one_clm_pass_matches_per_batch_passes(sides, narrow):
         assert err < 1e-10, (n, err)
 
     # the stacked logits are each batch's own, PAD-padded to the widest
-    stacked = clm_forward(model, *monos).data
+    stacked = model.clm_logits(monos).data
     start = 0
     for m in monos:
         own = per_batch_clm_logits(model, m).data
@@ -472,8 +472,8 @@ def test_clm_sides_are_scored_on_their_own_rows(monkeypatch, narrow):
     vocab, data = toy_data(n_mono=12, seed=4)
     model = tiny_model(vocab, seed=3)
     sb, tb = uneven_mono_batches(data, narrow)
-    leaf = Tensor(clm_forward(model, sb, tb).data, requires_grad=True)
-    monkeypatch.setattr(training, "clm_forward", lambda m, *batches: leaf)
+    leaf = Tensor(model.clm_logits([sb, tb]).data, requires_grad=True)
+    monkeypatch.setattr(model, "clm_logits", lambda batches: leaf)
     bd = compute_losses(model, None, sb, tb, clm_weight=0.5)
     backward(bd.loss)
     own_rows = leaf.grad
@@ -616,7 +616,7 @@ def test_evaluation_helpers_restore_model_mode(monkeypatch, was_training, raises
         return wrapped
 
     monkeypatch.setattr(training, "compute_losses", spy(training.compute_losses))
-    monkeypatch.setattr(training, "translation_forward", spy(training.translation_forward))
+    monkeypatch.setattr(type(model), "translation_logits", spy(type(model).translation_logits))
     for evaluate in (lambda: validation_loss(model, data, tc),
                      lambda: token_accuracy(model, batches)):
         model.training = was_training
@@ -1227,6 +1227,63 @@ def test_the_worker_pool_warns_once_when_it_cannot_cap_blas(monkeypatch, caplog)
             pool.shutdown()
     assert ["OpenBLAS" in r.getMessage() for r in caplog.records] == [True]
     assert training.blas_threads() is None
+
+
+# --- the control arm: MTL at clm_loss_weight 0 is the baseline -----------------------
+
+def synthetic_data(tmp_path, n_parallel, n_mono, **kw):
+    """An aa->bb fixture from ``synthetic.generate_pair``, held in memory; the
+    last 10 pairs are the validation split."""
+    paths = synthetic.generate_pair(tmp_path, n_parallel + 10, n_mono, **kw)
+    lines = {role: Path(path).read_text(encoding="utf-8").splitlines()
+             for role, path in paths.items()}
+    vocab = build_vocab([l for ls in lines.values() for l in ls], languages=["aa", "bb"])
+    pairs = [ParallelExample(encode(s, vocab, "aa"), encode(t, vocab, "bb"))
+             for s, t in zip(lines["parallel_src"], lines["parallel_tgt"])]
+    parallel = ParallelCorpus("aa", "bb", {"train": pairs[:-10], "validation": pairs[-10:],
+                                           "test": []})
+    mono = {lang: MonolingualCorpus(lang, {"train": [encode(l, vocab, lang)
+                                                     for l in lines[f"mono_{lang}"]]})
+            for lang in ("aa", "bb")}
+    return TrainData(vocab, parallel, mono)
+
+
+def assert_weight_zero_mtl_is_the_baseline(data, config, tc):
+    runs = {}
+    for multitask in (False, True):
+        model = init_params(config, multitask=multitask)
+        result = train_loop(model, data, tc, OptimizerConfig(lr=3e-3),
+                            freeze_spec=FreezeSpec.first_half_encoder(model))
+        runs[multitask] = model.param_dict(), result
+    (base, base_result), (mtl, mtl_result) = runs[False], runs[True]
+    translation_path = {n.replace("decoder_t.", "decoder.", 1): p for n, p in mtl.items()
+                        if not n.startswith("decoder_clm.")}
+    assert translation_path.keys() == base.keys()
+    for name, p in base.items():
+        assert np.array_equal(translation_path[name].data, p.data), name
+    fresh = init_params(config).param_dict()
+    assert any(not np.array_equal(p.data, fresh[n].data) for n, p in base.items())
+    l_t = [[line.split("\t")[1] for line in r.log_lines] for r in (base_result, mtl_result)]
+    assert len(l_t[0]) == tc.steps and l_t[0] == l_t[1]
+    return mtl_result
+
+
+def test_weight_zero_mtl_is_the_baseline_at_smoke_shape(tmp_path):
+    data = synthetic_data(tmp_path, 40, 40, seed=0, vocab_size=20, min_len=3, max_len=6)
+    config = ModelConfig(vocab_size=len(data.vocabulary), d_model=32, n_heads=2, n_enc_layers=2,
+                         n_dec_layers=2, d_ff=64, max_len=24)
+    tc = TrainConfig(steps=12, batch_size=8, log_interval=1, clm_loss_weight=0.0)
+    result = assert_weight_zero_mtl_is_the_baseline(data, config, tc)
+    assert (result.sharded_steps, result.task_split_steps) == (0, 0)
+
+
+def test_weight_zero_mtl_is_the_baseline_at_desk_shape(tmp_path, monkeypatch):
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    data = synthetic_data(tmp_path, 60, 60, seed=3, vocab_size=30, min_len=3, max_len=8)
+    config = ModelConfig(vocab_size=len(data.vocabulary), seed=1)
+    tc = TrainConfig(steps=4, batch_size=16, log_interval=1, clm_loss_weight=0.0)
+    result = assert_weight_zero_mtl_is_the_baseline(data, config, tc)
+    assert (result.sharded_steps, result.task_split_steps) == (0, 4)
 
 
 # --- convergence smoke ------------------------------------------------------------
