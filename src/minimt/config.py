@@ -15,6 +15,7 @@ from pathlib import Path
 
 from minimt.data import Vocabulary, write_text_atomically
 from minimt.decoding import DecodeConfig
+from minimt.evaluation import check_bleu_settings
 from minimt.model import ModelConfig
 from minimt.training import OptimizerConfig, TrainConfig
 
@@ -101,7 +102,6 @@ class TrainSection:
     clm_batch_size: int | None = None
     log_interval: int = 50
     checkpoint_interval: int | None = None
-    mixing: str = "joint"
     clm_loss_weight: float = 1.0
     clip_norm: float | None = None
     freeze: str = "first_half"  # or "none"
@@ -146,6 +146,10 @@ class ExperimentConfig:
             raise ConfigError(f"train.freeze must be 'first_half' or 'none', got {self.train.freeze!r}")
         if self.evaluation.aggregate not in ("corpus", "macro"):
             raise ConfigError(f"evaluation.aggregate must be 'corpus' or 'macro'")
+        try:
+            check_bleu_settings(self.evaluation.max_n, self.evaluation.smoothing_k)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"config.evaluation: {e}") from None
         # build each runtime config once, with placeholders for the values
         # the runner derives, so a bad value fails here and not mid-experiment
         checks = [("model", ModelConfig, {"vocab_size": 1}), ("train", TrainConfig, {}),

@@ -46,6 +46,15 @@ class BleuReport:
         return line + (f"  ({self.note})" if self.note else "")
 
 
+def check_bleu_settings(max_n, smoothing_k) -> None:
+    """Reject a ``max_n`` below 1 or a ``smoothing_k`` of 0 (the scorer
+    divides by both) and a negative ``smoothing_k`` (a negative precision)."""
+    if not max_n >= 1:
+        raise EvaluationError(f"max_n must be >= 1, got {max_n}")
+    if not (math.isfinite(smoothing_k) and smoothing_k > 0):
+        raise EvaluationError(f"smoothing_k must be finite and > 0, got {smoothing_k}")
+
+
 def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
@@ -112,6 +121,7 @@ def _assemble(counts: NgramPrecisionSet, hyp_len: int, ref_len: int, max_n: int,
 
 def sentence_bleu(hypothesis, reference, max_n: int = 4, k: float = 5) -> BleuReport:
     """Geometric mean of the smoothed precisions times the brevity penalty."""
+    check_bleu_settings(max_n, k)
     if not list(reference):
         raise EvaluationError("reference must be non-empty")
     counts = ngram_precisions(hypothesis, reference, max_n)
@@ -125,6 +135,7 @@ def corpus_bleu(pairs, max_n: int = 4, k: float = 5, macro: bool = False) -> Ble
     and smoothing fires once on the totals. ``macro=True`` instead averages
     per-sentence scores, as a diagnostic.
     """
+    check_bleu_settings(max_n, k)
     pairs = list(pairs)
     if not pairs:
         raise EvaluationError("corpus_bleu needs at least one pair")

@@ -1,9 +1,10 @@
 """Training loop for both regimes: Adam with constant learning rate,
-joint translation+CLM stepping with deterministic data mixing,
-checkpointing and machine-parseable metric logging.
+joint translation+CLM steps, checkpointing and machine-parseable metric
+logging.
 
-The joint objective is the plain sum of the translation cross entropy and
-the two causal-LM cross entropies (source- and target-side monolingual);
+Every multitask step is joint: one parallel batch and one monolingual batch
+per side, and its objective is the plain sum of the translation cross
+entropy and the two causal-LM cross entropies (source- and target-side);
 the baseline regime optimizes the translation term alone. All shuffling is
 derived functionally from (seed, epoch/cycle) so a resumed run replays the
 exact batch order of an uninterrupted one.
@@ -28,6 +29,7 @@ import glob
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import weakref
@@ -83,7 +85,6 @@ class TrainConfig:
     seed: int = 0
     log_interval: int = 50
     checkpoint_interval: int | None = None
-    mixing: str = "joint"  # or "round_robin"
     clm_loss_weight: float = 1.0
     clip_norm: float | None = None
 
@@ -95,8 +96,11 @@ class TrainConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        if self.mixing not in ("joint", "round_robin"):
-            raise ValueError(f"unknown mixing mode {self.mixing!r}")
+        # 0 is allowed: it is the control arm, an MTL run that learns like the baseline
+        if not (math.isfinite(self.clm_loss_weight) and self.clm_loss_weight >= 0):
+            raise ValueError(f"clm_loss_weight must be finite and >= 0, got {self.clm_loss_weight}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
 
     @property
     def effective_clm_batch_size(self):
@@ -191,20 +195,23 @@ def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=No
 
 
 class Adam:
-    """Bias-corrected Adam over named parameters. Frozen parameters are
-    simply not handed to the optimizer; parameters whose grad is absent in a
-    step are skipped (their moments and step counts do not advance).
+    """Bias-corrected Adam over named parameters, with one step count for
+    all of them. Frozen parameters are simply not handed to the optimizer;
+    a parameter whose grad is absent in a step updates as if its gradient
+    were zero, so one that never had a gradient keeps zero moments and does
+    not move.
 
     On construction the parameters' arrays move into one flat buffer: each
     ``p.data`` becomes a view into it, and ``m[name]`` and ``v[name]`` are
-    views into flat moment buffers. A step updates each run of consecutive
-    parameters that have a gradient and share a step count with a few
+    views into flat moment buffers. A step gathers the gradients into a flat
+    buffer, checks that they are finite, scales them to a global L2 norm of
+    at most ``clip_norm`` when given, and updates the buffers with a few
     in-place ufuncs, in the same elementwise order as the textbook update.
-    It checks and updates the runs in blocks of ``ADAM_BLOCK`` elements, and
-    on a machine with a second usable core gives the second half of the
-    blocks to a worker thread when there are at least ``ADAM_SPLIT_BLOCKS``
-    blocks' worth of elements. Every element sees the same operations either
-    way, so the update is bit-identical.
+    It checks and updates in blocks of ``ADAM_BLOCK`` elements, and on a
+    machine with a second usable core gives the second half of the blocks
+    to a worker thread when there are at least ``ADAM_SPLIT_BLOCKS`` blocks'
+    worth of elements. Every element sees the same operations either way, so
+    the update is bit-identical.
     """
 
     def __init__(self, named_params, config: OptimizerConfig):
@@ -223,47 +230,37 @@ class Adam:
             self.m[name] = self._m[sl].reshape(shape)
             self.v[name] = self._v[sl].reshape(shape)
             self._grad_views.append(self._grad[sl].reshape(shape))
-        self.t = {name: 0 for name, _ in self.params}
+        self.t = 0
 
-    def zero_grad(self):
-        zero_grads(p for _, p in self.params)
-
-    def step(self):
-        runs = []  # [start, stop, t] over consecutive parameters with a gradient
-        for (name, p), sl, view in zip(self.params, self._slices, self._grad_views):
-            if p.grad is None:
-                continue
-            view[...] = p.grad
-            t = self.t[name] + 1
-            if runs and runs[-1][1] == sl.start and runs[-1][2] == t:
-                runs[-1][1] = sl.stop
-            else:
-                runs.append([sl.start, sl.stop, t])
-        blocks = [(b, min(b + ADAM_BLOCK, hi), t)
-                  for lo, hi, t in runs for b in range(lo, hi, ADAM_BLOCK)]
-        if (_usable_cores() > 1
-                and sum(hi - lo for lo, hi, _ in runs) >= ADAM_SPLIT_BLOCKS * ADAM_BLOCK):
+    def step(self, clip_norm: float | None = None):
+        for (_, p), view in zip(self.params, self._grad_views):
+            view[...] = 0.0 if p.grad is None else p.grad
+        n = self._grad.size
+        blocks = [(lo, min(lo + ADAM_BLOCK, n)) for lo in range(0, n, ADAM_BLOCK)]
+        if _usable_cores() > 1 and n >= ADAM_SPLIT_BLOCKS * ADAM_BLOCK:
             half = (len(blocks) + 1) // 2
             parts = [blocks[:half], blocks[half:]]
         else:
             parts = [blocks]
         # every block is checked before any is updated, so a failed step
-        # leaves the moments, the parameters and the step counts as they were
+        # leaves the moments, the parameters and the step count as they were
         if not all(_in_parallel([(self._finite, part) for part in parts])):
-            name = next(name for name, p in self.params
-                        if p.grad is not None and not np.isfinite(p.grad).all())
+            name = next(name for (name, _), sl in zip(self.params, self._slices)
+                        if not np.isfinite(self._grad[sl]).all())
             raise TrainingError(f"non-finite gradient in parameter {name!r}; aborting step")
-        for name, p in self.params:
-            if p.grad is not None:
-                self.t[name] += 1
+        if clip_norm is not None:
+            norm = float(np.dot(self._grad, self._grad)) ** 0.5
+            if norm > clip_norm:
+                self._grad *= clip_norm / norm
+        self.t += 1
         _in_parallel([(self._update, part) for part in parts])
 
     def _finite(self, blocks) -> bool:
-        return all(np.isfinite(self._grad[lo:hi]).all() for lo, hi, _ in blocks)
+        return all(np.isfinite(self._grad[lo:hi]).all() for lo, hi in blocks)
 
     def _update(self, blocks):
-        c = self.config
-        for lo, hi, t in blocks:
+        c, t = self.config, self.t
+        for lo, hi in blocks:
             g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
             s1, s2 = self._s1[lo:hi], self._s2[lo:hi]
             m *= c.beta1
@@ -279,20 +276,6 @@ class Adam:
             s1 *= c.lr
             s1 /= s2
             self._data[lo:hi] -= s1
-
-
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    grads = [p.grad for _, p in params if p.grad is not None]
-    for g in grads:
-        total += float((g * g).sum())
-    norm = total ** 0.5
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-    return norm
 
 
 # A row shard needs at least this many padded positions (the id matrices'
@@ -543,7 +526,8 @@ def _sharded_backward(model, parts, clm_weight: float, label_totals=None) -> Los
 def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
                optimizer: Adam, train_config: TrainConfig | None = None) -> LossBreakdown:
     """One optimizer step: forward all active tasks, backward the summed
-    loss, update every non-frozen parameter.
+    loss, update every non-frozen parameter, its gradient clipped to
+    ``train_config.clip_norm`` when that is set.
 
     A step of ``shard_count`` > 1 row shards runs them in parallel threads,
     and so does a whole step that ``splits_by_task`` with its translation
@@ -567,9 +551,7 @@ def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
         bd.task_split = True
     else:
         bd = _forward_backward(model, batches, clm_weight)
-    if train_config and train_config.clip_norm is not None:
-        clip_gradients(optimizer.params, train_config.clip_norm)
-    optimizer.step()
+    optimizer.step(train_config.clip_norm if train_config else None)
     return bd
 
 
@@ -709,7 +691,7 @@ def save_checkpoint(path, model, optimizer: Adam, fingerprint: str, step: int,
         "fingerprint": fingerprint,
         "step": step,
         "cursors": cursors,
-        "adam_t": optimizer.t,
+        "adam_t": {name: optimizer.t for name, _ in optimizer.params},
         "meta": meta or {},
     }
     arrays["__header__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
@@ -741,7 +723,9 @@ def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint
 
 
 def restore_checkpoint(model, optimizer: Adam | None, ckpt: Checkpoint) -> None:
-    """Load parameters (and, when an optimizer is given, its moments) in place."""
+    """Load parameters (and, when an optimizer is given, its moments and
+    step count) in place. The checkpoint stores a step count per parameter;
+    they must all be equal."""
     model_params = model.param_dict()
     if set(model_params) != set(ckpt.params):
         raise TrainingError("checkpoint parameter names do not match the model")
@@ -751,10 +735,13 @@ def restore_checkpoint(model, optimizer: Adam | None, ckpt: Checkpoint) -> None:
         model_params[name].data[...] = arr
     if optimizer is None:
         return
+    counts = {int(ckpt.adam_t[name]) for name, _ in optimizer.params}
+    if len(counts) > 1:
+        raise TrainingError(f"checkpoint holds unequal Adam step counts {sorted(counts)}")
     for name, _ in optimizer.params:
         optimizer.m[name][...] = ckpt.adam_m[name]
         optimizer.v[name][...] = ckpt.adam_v[name]
-        optimizer.t[name] = int(ckpt.adam_t[name])
+    optimizer.t = max(counts, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +770,8 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
                log_path=None, checkpoint_path=None, resume_from=None,
                meta: dict | None = None) -> TrainResult:
     """Run the configured number of steps (or epochs over the translation
-    split). In the multitask regime every joint step consumes one parallel
-    batch plus one monolingual batch per side; monolingual iterators cycle
+    split). Every step consumes one parallel batch, plus one monolingual
+    batch per side in the multitask regime; monolingual iterators cycle
     with a reshuffle when exhausted. Metric lines are
     step, l_t, l_clm_src, l_clm_tgt, l_mtl, validation-loss, tab separated.
     Each metric line is appended to ``log_path`` when it is logged. Every
@@ -844,12 +831,8 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     last_bd = None
     sharded_steps = task_split_steps = 0
     while step < total_steps:
-        clm_turn = mtl and train_config.mixing == "round_robin" and step % 2 == 1
-        pb = None if clm_turn else trans_iter.next()
-        if mtl and (train_config.mixing == "joint" or clm_turn):
-            sb, tb = src_iter.next(), tgt_iter.next()
-        else:
-            sb = tb = None
+        pb = trans_iter.next()
+        sb, tb = (src_iter.next(), tgt_iter.next()) if mtl else (None, None)
         last_bd = train_step(model, pb, sb, tb, optimizer, train_config)
         sharded_steps += last_bd.shards > 1
         task_split_steps += last_bd.task_split

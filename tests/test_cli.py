@@ -56,14 +56,21 @@ def test_config_rejects_unknown_keys():
     # a removed option is an unknown key like any other
     with pytest.raises(ConfigError, match=r"config\.decode: unknown key.*penalize_during_search"):
         config_from_dict({"decode": {"penalize_during_search": False}})
+    with pytest.raises(ConfigError, match=r"config\.train: unknown key.*mixing"):
+        config_from_dict({"train": {"mixing": "joint"}})
 
 
 @pytest.mark.parametrize("payload, section", [
     ({"decode": {"penalty_form": "bogus"}}, "decode"),
-    ({"train": {"mixing": "x"}}, "train"),
+    ({"train": {"clip_norm": -1.0}}, "train"),
     ({"train": {"mtl_batch_size": 0}}, "train"),
     ({"model": {"d_model": 30, "n_heads": 4}}, "model"),
     ({"optimizer": {"lr": 0}}, "optimizer"),
+    ({"train": {"clip_norm": 0}}, "train"),
+    ({"train": {"clm_loss_weight": -2}}, "train"),
+    ({"train": {"clm_loss_weight": float("nan")}}, "train"),
+    ({"evaluation": {"max_n": 0}}, "evaluation"),
+    ({"evaluation": {"smoothing_k": 0}}, "evaluation"),
 ])
 def test_config_rejects_bad_values(payload, section):
     with pytest.raises(ConfigError, match=rf"^config\.{section}: "):
@@ -336,6 +343,15 @@ def test_evaluate_line_count_mismatch(tmp_path, capsys):
     ref.write_text("a\n")
     assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(ref)]) == 1
     assert "line counts differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, setting", [("--max-n", "max_n"), ("--k", "smoothing_k")])
+def test_evaluate_rejects_a_zero_bleu_setting(tmp_path, capsys, flag, setting):
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("a b x y\n")
+    assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(hyp),
+                 flag, "0"]) == 1
+    assert re.search(rf"^error: evaluate: {setting} must be .*, got 0", capsys.readouterr().err)
 
 
 def test_translate_and_evaluate_defaults_are_the_config_sections_defaults():

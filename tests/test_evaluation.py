@@ -152,6 +152,17 @@ def test_empty_reference_rejected():
         sentence_bleu("a".split(), [])
 
 
+@pytest.mark.parametrize("max_n, k, setting", [(0, 5, "max_n"), (4, 0, "smoothing_k"),
+                                                 (4, -1, "smoothing_k")])
+def test_bleu_rejects_settings_it_would_divide_by(max_n, k, setting):
+    pair = ("a b x y".split(), "a b c d".split())
+    with pytest.raises(EvaluationError, match=setting):
+        sentence_bleu(*pair, max_n=max_n, k=k)
+    for macro in (False, True):
+        with pytest.raises(EvaluationError, match=setting):
+            corpus_bleu([pair], max_n=max_n, k=k, macro=macro)
+
+
 def test_single_token_no_match_is_zero():
     report = sentence_bleu(["q"], ["a"])
     assert report.bleu == 0.0

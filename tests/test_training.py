@@ -183,21 +183,29 @@ def test_adam_aborts_on_nan_gradient():
         opt.step()
 
 
-def _reference_adam_step(params, m, v, t, c):
-    """The per-tensor textbook update the flat Adam replaces."""
+def _reference_adam_step(params, m, v, t, c, clip_norm=None):
+    """The per-tensor textbook update at step count ``t`` that the flat Adam
+    replaces, after scaling every gradient to a global L2 norm of at most
+    ``clip_norm`` when given. Returns that norm."""
+    norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for _, p in params))
+    scale = clip_norm / norm if clip_norm is not None and norm > clip_norm else None
     for name, p in params:
-        g = p.grad
-        if g is None:
-            continue
-        t[name] += 1
+        g = p.grad if scale is None else p.grad * scale
         m[name] = c.beta1 * m[name] + (1 - c.beta1) * g
         v[name] = c.beta2 * v[name] + (1 - c.beta2) * g * g
-        m_hat = m[name] / (1 - c.beta1 ** t[name])
-        v_hat = v[name] / (1 - c.beta2 ** t[name])
+        m_hat = m[name] / (1 - c.beta1 ** t)
+        v_hat = v[name] / (1 - c.beta2 ** t)
         p.data -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+    return norm
 
 
-def _check_adam_against_reference(steps=24):
+def _check_adam_against_reference(steps=24, clip_norm=None):
+    """Joint steps of a model with a frozen layer against the reference fed
+    the same gradients: parameters, ``m`` and ``v`` bit-identical, or, when
+    clipping, within 1e-12 of each tensor's largest entry (the two sum the
+    squares for the global norm in different orders, and a moment that
+    cancels to near zero keeps the absolute, not the relative, error).
+    Returns the reference's gradient norms."""
     vocab, data = toy_data()
     model, reference = tiny_model(vocab), tiny_model(vocab)
     spec = FreezeSpec.first_half_encoder(model)
@@ -206,25 +214,27 @@ def _check_adam_against_reference(steps=24):
     ref_params = apply_freeze(reference, spec)
     m = {n: np.zeros_like(p.data) for n, p in ref_params}
     v = {n: np.zeros_like(p.data) for n, p in ref_params}
-    t = {n: 0 for n, _ in ref_params}
-    pb, sb, tb = first_batches(data, TrainConfig(steps=1, batch_size=4))
-    skipped = set()
-    for step in range(steps):
-        # round-robin mixing: translation and CLM turns touch different decoders
-        batches = (None, sb, tb) if step % 2 else (pb, None, None)
-        train_step(model, *batches, opt)
+    tc = TrainConfig(steps=steps, batch_size=4, clip_norm=clip_norm)
+    batches = first_batches(data, tc)
+    if clip_norm is None:
+        same = np.array_equal
+    else:
+        def same(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    norms = []
+    for t in range(1, steps + 1):
+        train_step(model, *batches, opt, tc)
         for (name, p), (_, q) in zip(model.named_parameters(), reference.named_parameters()):
+            assert (p.grad is None) == (name in spec.frozen), name
             q.grad = None if p.grad is None else p.grad.copy()
-            if p.grad is None and p.requires_grad:
-                skipped.add(name)
-        _reference_adam_step(ref_params, m, v, t, oc)
+        norms.append(_reference_adam_step(ref_params, m, v, t, oc, clip_norm))
         for (name, p), (_, q) in zip(model.named_parameters(), reference.named_parameters()):
-            assert np.array_equal(p.data, q.data), (step, name)
+            assert same(p.data, q.data), (t, name)
         for name, _ in ref_params:
-            assert np.array_equal(opt.m[name], m[name]), (step, name)
-            assert np.array_equal(opt.v[name], v[name]), (step, name)
+            assert same(opt.m[name], m[name]), (t, name)
+            assert same(opt.v[name], v[name]), (t, name)
         assert opt.t == t
-    assert skipped and len(set(t.values())) > 1
+    return norms
 
 
 def test_flat_adam_is_bit_identical_to_per_tensor_adam():
@@ -233,9 +243,8 @@ def test_flat_adam_is_bit_identical_to_per_tensor_adam():
 
 @pytest.mark.parametrize("threaded", [False, True])
 def test_blocked_adam_is_bit_identical_to_per_tensor_adam(monkeypatch, threaded):
-    # 37-element blocks cut through parameters and through runs of equal
-    # step counts; on two cores, a second block's worth of elements already
-    # hands half of the blocks to the worker
+    # 37-element blocks cut through parameters; on two cores, a second
+    # block's worth of elements already hands half of the blocks to the worker
     monkeypatch.setattr(training, "ADAM_BLOCK", 37)
     monkeypatch.setattr(training, "_usable_cores", lambda: 2 if threaded else 1)
     monkeypatch.setattr(training, "ADAM_SPLIT_BLOCKS", 2)
@@ -258,12 +267,12 @@ def test_a_non_finite_gradient_in_adams_worker_half_aborts_before_any_update(mon
     model = tiny_model(vocab)
     opt = Adam(list(model.named_parameters()), OptimizerConfig())
     pb, sb, tb = first_batches(data, TrainConfig(steps=1, batch_size=4))
-    train_step(model, pb, sb, tb, opt)  # moments and step counts away from zero
+    train_step(model, pb, sb, tb, opt)  # moments and step count away from zero
     zero_grads(model.parameters())
     backward(compute_losses(model, pb, sb, tb).loss)
     name, p = list(model.named_parameters())[-1]  # in the last block: the worker's half
     p.grad[...] = np.inf
-    state = [a.copy() for a in (opt._m, opt._v, opt._data)], dict(opt.t)
+    state = [a.copy() for a in (opt._m, opt._v, opt._data)], opt.t
     checked = []
     real_finite = Adam._finite
 
@@ -276,7 +285,7 @@ def test_a_non_finite_gradient_in_adams_worker_half_aborts_before_any_update(mon
         opt.step()
     assert any(thread.startswith("minimt-shard") and holds_last for thread, holds_last in checked)
     assert all(np.array_equal(a, b) for a, b in zip(state[0], (opt._m, opt._v, opt._data)))
-    assert opt.t == state[1]
+    assert opt.t == state[1] == 1
 
 
 def test_adam_state_survives_checkpoint_and_continues_bit_identically(tmp_path):
@@ -284,8 +293,7 @@ def test_adam_state_survives_checkpoint_and_continues_bit_identically(tmp_path):
     oc = OptimizerConfig(lr=1e-3)
 
     def config(steps):
-        return TrainConfig(steps=steps, batch_size=4, log_interval=100, seed=5,
-                           mixing="round_robin")
+        return TrainConfig(steps=steps, batch_size=4, log_interval=100, seed=5)
 
     for steps, name, resume_from in ((9, "full", None), (4, "mid", None),
                                      (9, "resumed", tmp_path / "mid.npz")):
@@ -293,12 +301,100 @@ def test_adam_state_survives_checkpoint_and_continues_bit_identically(tmp_path):
                    checkpoint_path=tmp_path / f"{name}.npz", resume_from=resume_from)
     full, resumed = (load_checkpoint(tmp_path / f"{name}.npz") for name in ("full", "resumed"))
     assert full.step == resumed.step == 9
-    assert full.adam_t == resumed.adam_t and len(set(full.adam_t.values())) > 1
+    assert full.adam_t == resumed.adam_t and set(full.adam_t.values()) == {9}
     for field_name in ("params", "adam_m", "adam_v"):
         a, b = getattr(full, field_name), getattr(resumed, field_name)
         assert a.keys() == b.keys()
         for name in a:
             assert np.array_equal(a[name], b[name]), (field_name, name)
+
+
+def test_an_absent_grad_updates_as_a_zero_gradient():
+    def run(missing):
+        """Three steps in which "b" has a gradient in the first step only and
+        "c" never has one; ``missing(size)`` stands in for their gradient."""
+        params = [(n, Tensor(np.array(x), requires_grad=True))
+                  for n, x in (("a", [1.0, -2.0]), ("b", [0.5, 3.0]), ("c", [4.0]))]
+        opt = Adam(params, OptimizerConfig(lr=0.1))
+        a, b, c = (p for _, p in params)
+        b_trail = []
+        for step in range(3):
+            a.grad = np.array([0.3, -0.2])
+            b.grad = np.array([1.0, 2.0]) if step == 0 else missing(2)
+            c.grad = missing(1)
+            opt.step()
+            b_trail.append(b.data.copy())
+        return opt, b_trail
+
+    absent, b_trail = run(lambda size: None)
+    zero, _ = run(np.zeros)
+    assert absent.t == zero.t == 3
+    for (name, p), (_, q) in zip(absent.params, zero.params):
+        assert np.array_equal(p.data, q.data), name
+        assert np.array_equal(absent.m[name], zero.m[name]), name
+        assert np.array_equal(absent.v[name], zero.v[name]), name
+    # its moments carry "b" on after its gradient is gone; "c" never moves
+    assert not np.array_equal(b_trail[1], b_trail[2])
+    assert absent.params[2][1].data.tolist() == [4.0]
+    assert absent.m["c"].tolist() == absent.v["c"].tolist() == [0.0]
+
+
+def test_restoring_unequal_step_counts_raises(tmp_path):
+    vocab, data = toy_data()
+    path = tmp_path / "ckpt.npz"
+    train_loop(tiny_model(vocab), data, TrainConfig(steps=2, batch_size=4, log_interval=100),
+               OptimizerConfig(), checkpoint_path=path)
+    ckpt = load_checkpoint(path)
+    model = tiny_model(vocab)
+    opt = Adam(list(model.named_parameters()), OptimizerConfig())
+    training.restore_checkpoint(model, opt, ckpt)
+    assert opt.t == 2
+    ckpt.adam_t[next(iter(ckpt.adam_t))] = 3
+    opt = Adam(list(model.named_parameters()), OptimizerConfig())
+    with pytest.raises(TrainingError, match="unequal Adam step counts"):
+        training.restore_checkpoint(model, opt, ckpt)
+
+
+# --- gradient clipping -------------------------------------------------------------
+
+def test_a_clipped_step_matches_the_per_tensor_reference():
+    norms = _check_adam_against_reference(steps=6, clip_norm=0.05)
+    assert min(norms) > 0.05  # every step was clipped
+
+
+def test_a_clip_norm_above_the_norm_leaves_the_step_unchanged():
+    vocab, data = toy_data()
+    batches = first_batches(data, TrainConfig(steps=1, batch_size=4))
+
+    def run(clip_norm):
+        model = tiny_model(vocab)
+        opt = Adam(list(model.named_parameters()), OptimizerConfig())
+        norms = []
+        for _ in range(3):
+            train_step(model, *batches, opt, TrainConfig(steps=1, clip_norm=clip_norm))
+            norms.append(math.sqrt(sum(float((p.grad * p.grad).sum())
+                                       for p in model.parameters())))
+        return model, opt, norms
+
+    a, opt_a, norms = run(None)
+    b, opt_b, _ = run(max(norms) * (1 + 1e-9))  # just above every step's norm
+    for (name, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
+    assert np.array_equal(opt_a._m, opt_b._m) and np.array_equal(opt_a._v, opt_b._v)
+
+
+def test_a_non_finite_gradient_with_clipping_on_raises_and_changes_nothing():
+    params = [(n, Tensor(np.ones(3), requires_grad=True)) for n in ("a", "b")]
+    opt = Adam(params, OptimizerConfig())
+    for _, p in params:
+        p.grad = np.full(3, 10.0)
+    opt.step(clip_norm=1.0)
+    params[1][1].grad = np.array([1.0, np.inf, 0.0])
+    state = [a.copy() for a in (opt._m, opt._v, opt._data)]
+    with pytest.raises(TrainingError, match="'b'"):
+        opt.step(clip_norm=1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(state, (opt._m, opt._v, opt._data)))
+    assert opt.t == 1
 
 
 def test_optimizer_config_validation():
@@ -579,16 +675,6 @@ def test_mono_iterator_cycles_with_reshuffle():
     assert result.steps_run == 12  # 3-example mono split cycled 4+ times without error
 
 
-def test_round_robin_mixing():
-    vocab, data = toy_data()
-    tc = TrainConfig(steps=4, batch_size=4, log_interval=1, mixing="round_robin")
-    result = train_loop(tiny_model(vocab), data, tc, OptimizerConfig())
-    # odd steps are CLM-only, even steps translation-only
-    fields = [line.split("\t") for line in result.log_lines]
-    assert float(fields[0][1]) > 0 and float(fields[0][2]) == 0.0
-    assert float(fields[1][1]) == 0.0 and float(fields[1][2]) > 0
-
-
 def test_validation_loss_logged():
     vocab, data = toy_data()
     tc = TrainConfig(steps=2, batch_size=4, log_interval=2)
@@ -818,7 +904,7 @@ class SerialPool:
 STEP_MODES = {  # model kind, and which of (parallel, src mono, tgt mono) the step gets
     "baseline": (False, (True, False, False)),
     "joint": (True, (True, True, True)),
-    "clm_only": (True, (False, True, True)),  # a round-robin CLM turn
+    "clm_only": (True, (False, True, True)),  # as in acceptance gate c8
 }
 
 
@@ -1149,7 +1235,7 @@ def test_a_non_finite_gradient_in_the_clm_half_aborts_the_step(task_split, monke
     with pytest.raises(TrainingError, match="non-finite gradient in parameter 'embedding'"):
         train_step(model, *batches, opt)
     assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
-    assert set(opt.t.values()) == {0}
+    assert opt.t == 0
 
 
 def test_splits_by_task_keeps_smoke_and_single_task_steps_whole(monkeypatch):
@@ -1174,7 +1260,7 @@ def test_splits_by_task_keeps_smoke_and_single_task_steps_whole(monkeypatch):
     assert training._positions(narrow_desk) == 400
     assert training.splits_by_task(desk, narrow_desk)
     assert not training.splits_by_task(smoke, narrow_desk)
-    # round-robin turns carry one task only, however large
+    # a single-task step carries one task only, however large
     wide = (batch(16, 60, 60), mono(16, 60), mono(16, 60))
     assert not training.splits_by_task(desk, (wide[0], None, None))
     assert not training.splits_by_task(desk, (None, *wide[1:]))
@@ -1183,7 +1269,7 @@ def test_splits_by_task_keeps_smoke_and_single_task_steps_whole(monkeypatch):
     assert not training.splits_by_task(desk, narrow_desk)
 
 
-def test_smoke_and_round_robin_steps_never_start_a_thread(monkeypatch):
+def test_smoke_steps_never_start_a_thread(monkeypatch):
     def no_pool():
         raise AssertionError("a step started the worker threads")
 
@@ -1191,17 +1277,11 @@ def test_smoke_and_round_robin_steps_never_start_a_thread(monkeypatch):
     monkeypatch.setattr(training, "_usable_cores", lambda: 2)
     vocab, data = toy_data(n_pairs=40, n_mono=30)
     smoke_shape = dict(d_model=32, n_heads=2, n_enc_layers=2, n_dec_layers=2, d_ff=64)
-    for mixing in ("joint", "round_robin"):
-        model = init_params(ModelConfig(vocab_size=len(vocab), max_len=24, **smoke_shape),
-                            multitask=True)
-        tc = TrainConfig(steps=4, batch_size=8, log_interval=4, mixing=mixing)
-        result = train_loop(model, data, tc, OptimizerConfig())
-        assert (result.sharded_steps, result.task_split_steps) == (0, 0)
-    # with the gate at its lowest, a round-robin turn still carries one task
-    monkeypatch.setattr(training, "TASK_SPLIT_MIN_ELEMENTS", 1)
-    model = tiny_model(vocab)
-    tc = TrainConfig(steps=4, batch_size=8, log_interval=4, mixing="round_robin")
-    assert train_loop(model, data, tc, OptimizerConfig()).task_split_steps == 0
+    model = init_params(ModelConfig(vocab_size=len(vocab), max_len=24, **smoke_shape),
+                        multitask=True)
+    tc = TrainConfig(steps=4, batch_size=8, log_interval=4)
+    result = train_loop(model, data, tc, OptimizerConfig())
+    assert (result.sharded_steps, result.task_split_steps) == (0, 0)
 
 
 def test_the_worker_pool_caps_blas_at_one_thread(task_split):
