@@ -68,13 +68,12 @@ def cmd_translate(args) -> int:
     if meta.get("vocab_sha") and _sha256_file(args.vocab) != meta["vocab_sha"]:
         raise ConfigError(f"{args.vocab}: vocabulary does not match the checkpoint fingerprint")
     model = _model_from_checkpoint(ckpt)
-    max_len = meta["model_config"]["max_len"]
-    decode_cfg = decode_config(args, vocab, meta["tgt_lang"], max_len)
+    decode_cfg = decode_config(args, vocab, meta["tgt_lang"], model.config.max_len)
     lines = read_lines(args.input)
 
     def write(f):  # streamed into a temporary file that replaces the output when done
         for line in lines:
-            hyp = translate_line(model, line, vocab, meta["src_lang"], decode_cfg, max_len)
+            hyp = translate_line(model, line, vocab, meta["src_lang"], decode_cfg)
             f.write((hyp + "\n").encode("utf-8"))
 
     write_atomically(args.output, write)

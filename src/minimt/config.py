@@ -143,9 +143,11 @@ class ExperimentConfig:
             if not sep or a not in langs or b not in langs or a == b:
                 raise ConfigError(f"direction {d!r} must be '<src>-><tgt>' over languages {sorted(langs)}")
         if self.train.freeze not in ("first_half", "none"):
-            raise ConfigError(f"train.freeze must be 'first_half' or 'none', got {self.train.freeze!r}")
+            raise ConfigError(f"config.train: freeze must be 'first_half' or 'none', "
+                              f"got {self.train.freeze!r}")
         if self.evaluation.aggregate not in ("corpus", "macro"):
-            raise ConfigError(f"evaluation.aggregate must be 'corpus' or 'macro'")
+            raise ConfigError(f"config.evaluation: aggregate must be 'corpus' or 'macro', "
+                              f"got {self.evaluation.aggregate!r}")
         try:
             check_bleu_settings(self.evaluation.max_n, self.evaluation.smoothing_k)
         except (TypeError, ValueError) as e:

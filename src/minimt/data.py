@@ -318,9 +318,14 @@ class MonoBatch:
         return self.dec_in.shape[0]
 
 
+def token_budget(max_len: int) -> int:
+    """How many of a sentence's tokens fit in ``max_len`` positions once
+    framed: the language tag and EOS take the other two."""
+    return max_len - 2
+
+
 def _truncate(ids, max_len, counter):
-    # leave room for the language tag and EOS added by the framing
-    budget = max_len - 2
+    budget = token_budget(max_len)
     if len(ids) > budget:
         counter[0] += 1
         return ids[:budget]

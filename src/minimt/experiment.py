@@ -41,6 +41,7 @@ from minimt.data import (
     read_corpus,
     read_lines,
     split_indices,
+    token_budget,
     tokenize,
     write_text_atomically,
 )
@@ -81,8 +82,8 @@ def _peak_rss_mb() -> float:
 def _warn_over_length(corpora, mode: str, max_len: int) -> None:
     """Count, in one warning that names the first of them, the lines of the
     (path, lines) ``corpora`` that batching will truncate: those longer than
-    ``max_len`` less the language tag and EOS."""
-    budget = max_len - 2
+    ``token_budget(max_len)``."""
+    budget = token_budget(max_len)
     over = [(path, number) for path, lines in corpora
             for number, line in enumerate(lines, 1) if len(tokenize(line, mode)) > budget]
     if over:
@@ -295,8 +296,7 @@ class ExperimentRunner:
                                        self.config.model.max_len)
             hyps, refs = [], []
             for i in indices:
-                hyps.append(translate_line(model, src_lines[i], vocab, src_lang, decode_cfg,
-                                           self.config.model.max_len))
+                hyps.append(translate_line(model, src_lines[i], vocab, src_lang, decode_cfg))
                 refs.append(" ".join(tgt_lines[i].split()))
             write_text_atomically(hyp_path, "".join(h + "\n" for h in hyps))
             write_text_atomically(ref_path, "".join(r + "\n" for r in refs))
@@ -361,10 +361,10 @@ def _model_from_checkpoint(ckpt: Checkpoint):
     return model.eval()
 
 
-def translate_line(model, line: str, vocab: Vocabulary, src_lang: str, decode_cfg,
-                   max_len: int) -> str:
-    """Beam-decode one raw source line into target-language text."""
-    ids = encode(line, vocab, src_lang).ids[: max_len - 2]
+def translate_line(model, line: str, vocab: Vocabulary, src_lang: str, decode_cfg) -> str:
+    """Beam-decode one raw source line into target-language text; a line
+    over the model's ``token_budget`` is truncated to it, as in batching."""
+    ids = encode(line, vocab, src_lang).ids[: token_budget(model.config.max_len)]
     source = frame_source(ids, vocab, src_lang)
     best = beam_search(model, source, decode_cfg)[0]
     return " ".join(vocab.token(t) for t in best.tokens if not vocab.is_special(t))

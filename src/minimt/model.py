@@ -113,6 +113,24 @@ def causal_attention_mask(t: int, offset: int = 0) -> np.ndarray:
     return (np.triu(np.ones((t, offset + t)), k=offset + 1) * NEG_MASK)[None, None, :, :]
 
 
+def named_params(module, prefix: str):
+    """The (name, tensor) parameters of ``module``, named by attribute path
+    under ``prefix``, in the order its constructor set the attributes: a
+    ``Tensor`` attribute is a parameter, a list holds sub-modules numbered
+    from 0, and any other object with attributes is a sub-module. Other
+    values (``n_heads``, a tied decoder's ``proj`` of None) are skipped. Any
+    array a module holds as a ``Tensor`` is thus a parameter."""
+    for attr, value in vars(module).items():
+        name = f"{prefix}.{attr}"
+        if isinstance(value, Tensor):
+            yield name, value
+        elif isinstance(value, list):
+            for i, sub in enumerate(value):
+                yield from named_params(sub, f"{name}.{i}")
+        elif hasattr(value, "__dict__"):
+            yield from named_params(value, name)
+
+
 class LayerNorm:
     def __init__(self, d):
         self.gain = _Init.ones(d)
@@ -120,10 +138,6 @@ class LayerNorm:
 
     def __call__(self, x):
         return ad.layer_norm(x, self.gain, self.bias)
-
-    def named_params(self, prefix):
-        yield f"{prefix}.gain", self.gain
-        yield f"{prefix}.bias", self.bias
 
 
 class MultiHeadAttention:
@@ -151,10 +165,6 @@ class MultiHeadAttention:
         ctx = ad.attention(ad.linear(queries, self.wq, self.bq), k, v, self.n_heads, additive_mask)
         return ad.linear(ctx, self.wo, self.bo)
 
-    def named_params(self, prefix):
-        for name in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
 
 class FeedForward:
     def __init__(self, config, init):
@@ -165,10 +175,6 @@ class FeedForward:
 
     def __call__(self, x):
         return ad.linear(ad.linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
-
-    def named_params(self, prefix):
-        for name in ("w1", "b1", "w2", "b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
 
 
 class EncoderLayer:
@@ -183,12 +189,6 @@ class EncoderLayer:
         x = x + drop(self.attn(h, h, pad_mask))
         x = x + drop(self.ff(self.ln2(x)))
         return x
-
-    def named_params(self, prefix):
-        yield from self.ln1.named_params(f"{prefix}.ln1")
-        yield from self.attn.named_params(f"{prefix}.attn")
-        yield from self.ln2.named_params(f"{prefix}.ln2")
-        yield from self.ff.named_params(f"{prefix}.ff")
 
 
 class DecoderLayer:
@@ -216,14 +216,6 @@ class DecoderLayer:
         x = x + drop(self.ff(self.ln3(x)))
         return x, (k, v)
 
-    def named_params(self, prefix):
-        yield from self.ln1.named_params(f"{prefix}.ln1")
-        yield from self.self_attn.named_params(f"{prefix}.self_attn")
-        yield from self.ln2.named_params(f"{prefix}.ln2")
-        yield from self.cross_attn.named_params(f"{prefix}.cross_attn")
-        yield from self.ln3.named_params(f"{prefix}.ln3")
-        yield from self.ff.named_params(f"{prefix}.ff")
-
 
 class Encoder:
     def __init__(self, config, init):
@@ -234,11 +226,6 @@ class Encoder:
         for layer in self.layers:
             x = layer(x, pad_mask, drop)
         return self.ln_out(x)
-
-    def named_params(self, prefix):
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_params(f"{prefix}.layers.{i}")
-        yield from self.ln_out.named_params(f"{prefix}.ln_out")
 
 
 class DecoderCache:
@@ -281,13 +268,6 @@ class Decoder:
         proj = self.proj if self.proj is not None else embedding.transpose(1, 0)
         return ad.matmul(x, proj)
 
-    def named_params(self, prefix):
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_params(f"{prefix}.layers.{i}")
-        yield from self.ln_out.named_params(f"{prefix}.ln_out")
-        if self.proj is not None:
-            yield f"{prefix}.proj", self.proj
-
 
 class Transformer:
     """Embedding, a shared encoder and the translation decoder ``decoder``;
@@ -295,9 +275,10 @@ class Transformer:
 
     Registry names are the checkpoint contract: the translation decoder's
     parameters are ``decoder.*`` in the baseline and ``decoder_t.*`` in the
-    multitask model, followed there by ``decoder_clm.*``. Parameters are
-    drawn in that order from one generator, so both regimes share the same
-    embedding, encoder and translation decoder for the same seed.
+    multitask model, followed there by ``decoder_clm.*``; below those the
+    names follow ``named_params``. Parameters are drawn in that order from
+    one generator, so both regimes share the same embedding, encoder and
+    translation decoder for the same seed.
     """
 
     def __init__(self, config: ModelConfig, multitask: bool = False):
@@ -362,12 +343,12 @@ class Transformer:
 
     def named_parameters(self):
         yield "embedding", self.embedding
-        yield from self.encoder.named_params("encoder")
+        yield from named_params(self.encoder, "encoder")
         if self.decoder_clm is None:
-            yield from self.decoder.named_params("decoder")
+            yield from named_params(self.decoder, "decoder")
         else:
-            yield from self.decoder.named_params("decoder_t")
-            yield from self.decoder_clm.named_params("decoder_clm")
+            yield from named_params(self.decoder, "decoder_t")
+            yield from named_params(self.decoder_clm, "decoder_clm")
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]

@@ -210,7 +210,9 @@ class Adam:
     It checks and updates in blocks of ``ADAM_BLOCK`` elements, and on a
     machine with a second usable core gives the second half of the blocks
     to a worker thread when there are at least ``ADAM_SPLIT_BLOCKS`` blocks'
-    worth of elements. Every element sees the same operations either way, so
+    worth of elements. That layout is fixed on construction, and each of
+    the one or two parts keeps one block's worth of scratch for the update's
+    intermediates. Every element sees the same operations either way, so
     the update is bit-identical.
     """
 
@@ -221,7 +223,14 @@ class Adam:
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         n = bounds[-1]
         self._data, self._m, self._v = np.empty(n), np.zeros(n), np.zeros(n)
-        self._grad, self._s1, self._s2 = np.empty(n), np.empty(n), np.empty(n)
+        self._grad = np.empty(n)
+        blocks = [(lo, min(lo + ADAM_BLOCK, n)) for lo in range(0, n, ADAM_BLOCK)]
+        if _usable_cores() > 1 and n >= ADAM_SPLIT_BLOCKS * ADAM_BLOCK:
+            half = (len(blocks) + 1) // 2
+            self._parts = [blocks[:half], blocks[half:]]
+        else:
+            self._parts = [blocks]
+        self._scratch = [np.empty((2, min(ADAM_BLOCK, n))) for _ in self._parts]
         self.m, self.v, self._grad_views = {}, {}, []
         for (name, p), sl in zip(self.params, self._slices):
             shape = p.data.shape
@@ -235,16 +244,9 @@ class Adam:
     def step(self, clip_norm: float | None = None):
         for (_, p), view in zip(self.params, self._grad_views):
             view[...] = 0.0 if p.grad is None else p.grad
-        n = self._grad.size
-        blocks = [(lo, min(lo + ADAM_BLOCK, n)) for lo in range(0, n, ADAM_BLOCK)]
-        if _usable_cores() > 1 and n >= ADAM_SPLIT_BLOCKS * ADAM_BLOCK:
-            half = (len(blocks) + 1) // 2
-            parts = [blocks[:half], blocks[half:]]
-        else:
-            parts = [blocks]
         # every block is checked before any is updated, so a failed step
         # leaves the moments, the parameters and the step count as they were
-        if not all(_in_parallel([(self._finite, part) for part in parts])):
+        if not all(_in_parallel([(self._finite, part) for part in self._parts])):
             name = next(name for (name, _), sl in zip(self.params, self._slices)
                         if not np.isfinite(self._grad[sl]).all())
             raise TrainingError(f"non-finite gradient in parameter {name!r}; aborting step")
@@ -253,16 +255,17 @@ class Adam:
             if norm > clip_norm:
                 self._grad *= clip_norm / norm
         self.t += 1
-        _in_parallel([(self._update, part) for part in parts])
+        _in_parallel([(self._update, part, scratch)
+                      for part, scratch in zip(self._parts, self._scratch)])
 
     def _finite(self, blocks) -> bool:
         return all(np.isfinite(self._grad[lo:hi]).all() for lo, hi in blocks)
 
-    def _update(self, blocks):
+    def _update(self, blocks, scratch):
         c, t = self.config, self.t
         for lo, hi in blocks:
             g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
-            s1, s2 = self._s1[lo:hi], self._s2[lo:hi]
+            s1, s2 = scratch[:, :hi - lo]
             m *= c.beta1
             m += np.multiply(g, 1 - c.beta1, out=s1)
             v *= c.beta2

@@ -71,10 +71,13 @@ def test_config_rejects_unknown_keys():
     ({"train": {"clm_loss_weight": float("nan")}}, "train"),
     ({"evaluation": {"max_n": 0}}, "evaluation"),
     ({"evaluation": {"smoothing_k": 0}}, "evaluation"),
+    ({"train": {"freeze": "all"}}, "train"),
+    ({"evaluation": {"aggregate": "mean"}}, "evaluation"),
 ])
 def test_config_rejects_bad_values(payload, section):
-    with pytest.raises(ConfigError, match=rf"^config\.{section}: "):
+    with pytest.raises(ConfigError, match=rf"^config\.{section}: ") as err:
         config_from_dict(payload)
+    assert any(str(bad) in str(err.value) for bad in payload[section].values())  # echoed
 
 
 def test_config_rejects_bad_direction():
@@ -252,6 +255,22 @@ def test_translate_rerun_byte_identical(trained_run, tmp_path):
                      "--input", str(src), "--output", str(dst)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 2
+
+
+def test_translate_truncates_a_line_over_the_token_budget(trained_run, tmp_path):
+    out, config_path, _ = trained_run
+    max_len = load_config(config_path).model.max_len
+    words = [f"ka{i % 5}" for i in range(max_len + 5)]
+    src = tmp_path / "in.txt"
+    # the whole line, then the part of it that fits beside the language tag and EOS
+    src.write_text(" ".join(words) + "\n" + " ".join(words[:max_len - 2]) + "\n")
+    dst = tmp_path / "out.txt"
+    assert main(["translate",
+                 "--checkpoint", str(out / "aa-bb" / "mtl" / "checkpoint.npz"),
+                 "--vocab", str(out / "vocab.txt"),
+                 "--input", str(src), "--output", str(dst)]) == 0
+    whole, truncated = dst.read_text().splitlines()
+    assert whole == truncated
 
 
 def test_translate_reads_the_checkpoint_once(trained_run, tmp_path, monkeypatch):

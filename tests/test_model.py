@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,9 +12,11 @@ from minimt.model import (
     ModelConfig,
     apply_freeze,
     init_params,
+    named_params,
     parameter_count,
     sinusoidal_positions,
 )
+from minimt.training import Adam, OptimizerConfig
 
 TINY = dict(vocab_size=11, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
             d_ff=12, max_len=10)
@@ -84,7 +87,39 @@ def test_registry_names_are_the_checkpoint_contract():
     assert top_level(mtl) == ["embedding", "encoder", "decoder_t", "decoder_clm"]
     # decoder_t.* names the translation decoder, which is model.decoder in both
     params = mtl.param_dict()
-    assert all(params[n] is p for n, p in mtl.decoder.named_params("decoder_t"))
+    assert all(params[n] is p for n, p in named_params(mtl.decoder, "decoder_t"))
+
+
+# sha256 of the full ordered name list, joined by newlines, at TINY; a rename
+# anywhere in the tree, or a reordering, changes it (and every checkpoint)
+REGISTRY_DIGESTS = {
+    (False, True): (47, "101fd0d8a2aa8026c778bcbd0b03b1a3e24fc1774d2ffe92b173d1d2872daaaa"),
+    (False, False): (48, "c20afd542c715bc561a26f7fc6f62bcabe1b401774533c4a7c7e7a3c6360d04f"),
+    (True, True): (75, "39121e0d45a9b0443811f90a4e72f2f0ade991ef6e863a09b467eec5250b35fb"),
+    (True, False): (77, "2e9e43d2147fe968dc23691c784831c9fee88bfc6dae4eae2a3a6d6f37348054"),
+}
+
+
+@pytest.mark.parametrize("multitask, tie", list(REGISTRY_DIGESTS))
+def test_registry_pins_every_name_in_order(multitask, tie):
+    model = init_params(tiny_config(tie_projections=tie), multitask=multitask)
+    names = [n for n, _ in model.named_parameters()]
+    decoder = "decoder_t" if multitask else "decoder"
+    assert names[:3] == ["embedding", "encoder.layers.0.ln1.gain", "encoder.layers.0.ln1.bias"]
+    assert "encoder.layers.0.attn.wq" in names
+    assert f"{decoder}.layers.0.cross_attn.bo" in names
+    assert (f"{decoder}.proj" in names) == (not tie)
+    assert ("decoder_clm.proj" in names) == (multitask and not tie)
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert (len(names), digest) == REGISTRY_DIGESTS[multitask, tie]
+    # Adam's flat buffer follows the registry: each p.data is the next slice of it
+    opt = Adam(model.named_parameters(), OptimizerConfig())
+    assert [n for n, _ in opt.params] == names
+    sizes = [p.data.size for _, p in opt.params]
+    offsets = [(p.data.ctypes.data - opt._data.ctypes.data) // opt._data.itemsize
+               for _, p in opt.params]
+    assert all(p.data.base is opt._data for _, p in opt.params)
+    assert offsets == np.cumsum([0] + sizes)[:-1].tolist() and sum(sizes) == opt._data.size
 
 
 def test_heads_must_divide_d_model():
