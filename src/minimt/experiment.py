@@ -34,6 +34,7 @@ from minimt.data import (
     SplitConfig,
     Vocabulary,
     build_vocab,
+    decode,
     encode,
     frame_source,
     load_monolingual,
@@ -367,7 +368,7 @@ def translate_line(model, line: str, vocab: Vocabulary, src_lang: str, decode_cf
     ids = encode(line, vocab, src_lang).ids[: token_budget(model.config.max_len)]
     source = frame_source(ids, vocab, src_lang)
     best = beam_search(model, source, decode_cfg)[0]
-    return " ".join(vocab.token(t) for t in best.tokens if not vocab.is_special(t))
+    return decode([t for t in best.tokens if not vocab.is_special(t)], vocab)
 
 
 # --- presets --------------------------------------------------------------------------

@@ -9,14 +9,15 @@ the baseline regime optimizes the translation term alone. All shuffling is
 derived functionally from (seed, epoch/cycle) so a resumed run replays the
 exact batch order of an uninterrupted one.
 
-A step whose batches hold enough padded positions runs in parallel parts:
-a long step's batches are split by rows into shards, and a smaller joint
-multitask step into its translation and CLM halves. Part 0 runs on the
-model in the calling thread and the others on replicas in a pool of worker
-threads, and their gradients are summed into the model's before the update
-(see ``train_step``). ``Adam`` gives half of a large update to the same
-pool. numpy's kernels and BLAS release the interpreter lock, so the parts
-overlap on separate cores.
+Every step runs as a list of parts (see ``train_step``): a long step's
+batches are split by rows into shards, a smaller joint multitask step into
+its translation and CLM halves, and any other step is one part, the whole
+step. Part 0 runs on the model in the calling thread and the others on
+replicas in a pool of worker threads, and their gradients are summed into
+the model's before the update; a one-part step starts no thread and
+computes exactly the whole step. ``Adam`` gives half of a large update to
+the same pool. numpy's kernels and BLAS release the interpreter lock, so
+the parts overlap on separate cores.
 """
 
 from __future__ import annotations
@@ -145,11 +146,12 @@ def compute_losses(model, parallel_batch, src_mono_batch=None, tgt_mono_batch=No
     model rejects monolingual batches outright. With ``clm_weight`` != 1 the
     graph root is the weighted sum but the reported components stay raw.
 
-    ``label_totals`` is given when the batches are one row shard of a step:
-    it maps each task ("t", "src", "tgt") to its label positions in the whole
+    ``label_totals`` is given when the batches are one part of a step: it
+    maps each task ("t", "src", "tgt") to its label positions in the whole
     step. Each cross entropy, in the root and in the reported components, is
-    then weighted by this shard's share of those positions, so the shards'
-    losses sum to the whole step's means.
+    then weighted by this part's share of those positions, so the parts'
+    losses sum to the whole step's means. A part that holds all of a task's
+    rows has a share of exactly 1.0, which leaves its term as it is.
     """
     if not model.multitask and (src_mono_batch is not None or tgt_mono_batch is not None):
         raise TrainingError("baseline model cannot consume monolingual batches")
@@ -334,7 +336,8 @@ ADAM_SPLIT_BLOCKS = 2
 
 _shard_lock = threading.Lock()
 _shard_pool = None
-_replicas = weakref.WeakKeyDictionary()  # model -> replicas for parts 1, 2, ...
+# model -> (replica, its (model param, replica param) pairs) for parts 1, 2, ...
+_replicas = weakref.WeakKeyDictionary()
 _BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
                         "openblas_set_num_threads64_")
 
@@ -349,6 +352,13 @@ def _usable_cores() -> int:
 def _positions(batches) -> int:
     return sum(b.src.size + b.tgt_in.size if isinstance(b, ParallelBatch) else b.dec_in.size
                for b in batches if b is not None)
+
+
+def _width(batch) -> int:
+    """The widest id row ``batch`` feeds the model: source or target."""
+    if isinstance(batch, ParallelBatch):
+        return max(batch.src.shape[1], batch.tgt_in.shape[1])
+    return batch.dec_in.shape[1]
 
 
 def shard_count(batches) -> int:
@@ -450,21 +460,25 @@ def _in_parallel(calls) -> list:
 
 
 def _replicas_of(model, n: int) -> list:
-    """``n`` replicas of ``model`` for parts 1..n. Their parameter tensors
-    share ``model``'s arrays (re-bound on every call, since ``Adam`` re-homes
-    them) and its frozen set and mode, but own their gradients, which start
-    at None. The read-only position table is shared too."""
-    params = model.parameters()
+    """``n`` replicas of ``model`` for parts 1..n, each with its (model
+    parameter, replica parameter) pairs, listed once when it is made. Their
+    parameter tensors share ``model``'s arrays (re-bound on every call, since
+    ``Adam`` re-homes them) and its frozen set and mode, but own their
+    gradients, which start at None. The position table is shared too."""
+    if n == 0:
+        return []
     with _shard_lock:
         replicas = _replicas.setdefault(model, [])
         while len(replicas) < n:
-            memo = {id(p.data): p.data for p in params}
+            params = model.parameters()
+            memo = {id(p.data): p.data for p in params}  # a fresh memo makes a fresh copy
             memo[id(model.positions)] = model.positions
-            replicas.append(copy.deepcopy(model, memo))
+            replica = copy.deepcopy(model, memo)
+            replicas.append((replica, list(zip(params, replica.parameters()))))
         replicas = replicas[:n]
-    for replica in replicas:
+    for replica, pairs in replicas:
         replica.training = model.training
-        for p, r in zip(params, replica.parameters()):
+        for p, r in pairs:
             r.data, r.requires_grad, r.grad = p.data, p.requires_grad, None
     return replicas
 
@@ -491,71 +505,58 @@ def _forward_backward(model, batches, clm_weight: float, label_totals=None) -> L
     return bd
 
 
-def _sharded_backward(model, parts, clm_weight: float, label_totals=None) -> LossBreakdown:
-    """Forward and backward the step's ``parts``, each a (parallel, src
-    mono, tgt mono) triple of batches, side by side, and leave the whole
-    step's gradient on ``model``.
-
-    Part 0 runs on ``model`` in this thread, the others on replicas in the
-    worker pool, each with its own dropout generator spawned from the
-    model's. Row shards pass ``label_totals``: every shard weights its cross
-    entropies by its share of the step's label positions (see
-    ``compute_losses``). The two task halves of a joint step need no
-    weights, since each holds all of its tasks' rows. The replicas' grads,
-    added into the model's in part order, sum to the whole step's. The first
-    error in part order is raised once every part has finished.
-    """
-    replicas = _replicas_of(model, len(parts) - 1)
-    for replica, rng in zip(replicas, model._dropout_rng.spawn(len(replicas))):
-        replica._dropout_rng = rng
-    bds = _in_parallel([(_forward_backward, m, part, clm_weight, label_totals)
-                        for m, part in zip([model, *replicas], parts)])
-
-    params = model.parameters()
-    for replica in replicas:
-        for p, r in zip(params, replica.parameters()):
-            if r.grad is not None:
-                if p.grad is None:
-                    p.grad = r.grad
-                else:
-                    p.grad += r.grad
-                r.grad = None
-    return LossBreakdown(l_t=sum(bd.l_t for bd in bds),
-                         l_clm_src=sum(bd.l_clm_src for bd in bds),
-                         l_clm_tgt=sum(bd.l_clm_tgt for bd in bds),
-                         loss=Tensor(sum(bd.loss.item() for bd in bds)))
-
-
 def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
                optimizer: Adam, train_config: TrainConfig | None = None) -> LossBreakdown:
     """One optimizer step: forward all active tasks, backward the summed
     loss, update every non-frozen parameter, its gradient clipped to
     ``train_config.clip_norm`` when that is set.
 
-    A step of ``shard_count`` > 1 row shards runs them in parallel threads,
-    and so does a whole step that ``splits_by_task`` with its translation
-    and CLM halves (see ``_sharded_backward``). Either way its losses and
-    gradients match the whole step's up to rounding. Any other step runs
-    whole in this thread, so small steps are computed exactly as before.
+    The step runs as a list of parts, each a (parallel, src mono, tgt mono)
+    triple of batches: ``shard_count`` row shards when that is above 1;
+    else the translation and CLM halves when ``splits_by_task``; else one
+    part, the whole step. Part 0 runs on ``model`` in this thread, the
+    others on replicas in the worker pool, each with its own dropout
+    generator spawned from the model's. Every part weights its cross
+    entropies by its share of the step's label positions (see
+    ``compute_losses``), and the replicas' grads, added into the model's in
+    part order, sum to the whole step's. So a split step matches the whole
+    step up to rounding, and a one-part step starts no thread and computes
+    exactly the whole step. The first error in part order is raised once
+    every part has finished.
     """
     zero_grads(model.parameters())
     clm_weight = train_config.clm_loss_weight if train_config else 1.0
     batches = (parallel_batch, src_mono_batch, tgt_mono_batch)
     k = shard_count(batches)
+    task_split = k == 1 and splits_by_task(model, batches)
     if k > 1:
-        totals = {task: _label_positions(b) for task, b in zip(("t", "src", "tgt"), batches)
-                  if b is not None}
-        bd = _sharded_backward(model, list(zip(*(_row_shards(b, k) for b in batches))),
-                               clm_weight, totals)
-        bd.shards = k
-    elif splits_by_task(model, batches):
-        bd = _sharded_backward(model, [(parallel_batch, None, None),
-                                       (None, src_mono_batch, tgt_mono_batch)], clm_weight)
-        bd.task_split = True
+        parts = list(zip(*(_row_shards(b, k) for b in batches)))
+    elif task_split:
+        parts = [(parallel_batch, None, None), (None, src_mono_batch, tgt_mono_batch)]
     else:
-        bd = _forward_backward(model, batches, clm_weight)
+        parts = [batches]
+    totals = {task: _label_positions(b) for task, b in zip(("t", "src", "tgt"), batches)
+              if b is not None}
+    replicas = _replicas_of(model, len(parts) - 1)
+    if replicas:
+        for (replica, _), rng in zip(replicas, model._dropout_rng.spawn(len(replicas))):
+            replica._dropout_rng = rng
+    bds = _in_parallel([(_forward_backward, m, part, clm_weight, totals)
+                        for m, part in zip([model, *(r for r, _ in replicas)], parts)])
+    for _, pairs in replicas:
+        for p, r in pairs:
+            if r.grad is not None:
+                if p.grad is None:
+                    p.grad = r.grad
+                else:
+                    p.grad += r.grad
+                r.grad = None
     optimizer.step(train_config.clip_norm if train_config else None)
-    return bd
+    return LossBreakdown(l_t=sum(bd.l_t for bd in bds),
+                         l_clm_src=sum(bd.l_clm_src for bd in bds),
+                         l_clm_tgt=sum(bd.l_clm_tgt for bd in bds),
+                         loss=Tensor(sum(bd.loss.item() for bd in bds)),
+                         shards=k, task_split=task_split)
 
 
 # ---------------------------------------------------------------------------
@@ -789,54 +790,49 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     fingerprint = config_fingerprint(model.config, train_config, optimizer_config,
                                      {"frozen": sorted(freeze_spec.frozen)})
 
-    mtl = model.multitask
     langs = (data.parallel.source_language, data.parallel.target_language)
-    if mtl:
+    streams = {}  # checkpoint cursor name -> batch stream
+    if model.multitask:
         missing = [l for l in langs if l not in data.monolingual]
         if missing:
             raise TrainingError(f"multitask training needs monolingual corpora for {missing}")
-        src_iter = _CyclingBatches(data.monolingual[langs[0]].split("train"),
-                                   train_config.effective_clm_batch_size, data.vocabulary,
-                                   train_config.max_len, train_config.seed, _ROLE_SRC_MONO)
-        tgt_iter = _CyclingBatches(data.monolingual[langs[1]].split("train"),
-                                   train_config.effective_clm_batch_size, data.vocabulary,
-                                   train_config.max_len, train_config.seed, _ROLE_TGT_MONO)
-    else:
-        src_iter = tgt_iter = None
-
-    trans_iter = _CyclingBatches(data.parallel.split("train"), train_config.batch_size,
-                                 data.vocabulary, train_config.max_len,
-                                 train_config.seed, _ROLE_TRANSLATION)
-    batches_per_epoch = len(trans_iter._batches)
+        for name, lang, role in (("src_mono", langs[0], _ROLE_SRC_MONO),
+                                 ("tgt_mono", langs[1], _ROLE_TGT_MONO)):
+            streams[name] = _CyclingBatches(data.monolingual[lang].split("train"),
+                                            train_config.effective_clm_batch_size, data.vocabulary,
+                                            train_config.max_len, train_config.seed, role)
+    streams["translation"] = _CyclingBatches(data.parallel.split("train"), train_config.batch_size,
+                                             data.vocabulary, train_config.max_len,
+                                             train_config.seed, _ROLE_TRANSLATION)
+    val_batches = validation_batches(data, train_config)  # batched (and warned about) once
+    # a stream's first cycle holds all of its examples, so it has the widest batch
+    widest = max((_width(b) for batches in [val_batches, *(st._batches for st in streams.values())]
+                  for b in batches), default=0)
+    if widest > model.config.max_len:
+        raise TrainingError(f"batches up to {widest} positions wide exceed the model's max_len "
+                            f"{model.config.max_len}; set the training max_len to at most that")
     total_steps = (train_config.steps if train_config.steps is not None
-                   else train_config.epochs * batches_per_epoch)
+                   else train_config.epochs * len(streams["translation"]._batches))
 
     step = 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from, expected_fingerprint=fingerprint)
         restore_checkpoint(model, optimizer, ckpt)
         step = ckpt.step
-        trans_iter.seek(ckpt.cursors["translation"])
-        if mtl:
-            src_iter.seek(ckpt.cursors["src_mono"])
-            tgt_iter.seek(ckpt.cursors["tgt_mono"])
+        for name, stream in streams.items():
+            stream.seek(ckpt.cursors[name])
 
     def cursors():
-        c = {"translation": trans_iter.cursor}
-        if mtl:
-            c["src_mono"] = src_iter.cursor
-            c["tgt_mono"] = tgt_iter.cursor
-        return c
+        return {name: stream.cursor for name, stream in streams.items()}
 
-    val_batches = validation_batches(data, train_config)  # batched (and warned about) once
     model.train()
     log_lines = []
     last_bd = None
     sharded_steps = task_split_steps = 0
     while step < total_steps:
-        pb = trans_iter.next()
-        sb, tb = (src_iter.next(), tgt_iter.next()) if mtl else (None, None)
-        last_bd = train_step(model, pb, sb, tb, optimizer, train_config)
+        drawn = {name: stream.next() for name, stream in streams.items()}
+        last_bd = train_step(model, drawn["translation"], drawn.get("src_mono"),
+                             drawn.get("tgt_mono"), optimizer, train_config)
         sharded_steps += last_bd.shards > 1
         task_split_steps += last_bd.task_split
         step += 1

@@ -4,6 +4,7 @@ import logging
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,7 @@ from minimt.config import (
     config_from_dict,
     load_config,
 )
-from minimt.data import CorpusError, SplitConfig, split_indices
+from minimt.data import CorpusError, SplitConfig, build_vocab, encode, split_indices
 from minimt.experiment import ExperimentRunner, StageFailure, make_preset
 
 
@@ -271,6 +272,18 @@ def test_translate_truncates_a_line_over_the_token_budget(trained_run, tmp_path)
                  "--input", str(src), "--output", str(dst)]) == 0
     whole, truncated = dst.read_text().splitlines()
     assert whole == truncated
+
+
+@pytest.mark.parametrize("mode", ["word", "char"])
+def test_translate_line_joins_tokens_as_the_vocabulary_mode_does(monkeypatch, mode):
+    from minimt import experiment
+    target = "zo13 zo15"
+    vocab = build_vocab([target, "ka1 ka2"], languages=["aa", "bb"], mode=mode)
+    ids = encode(target, vocab, "bb").ids
+    best = SimpleNamespace(tokens=[vocab.lang_id("bb"), *ids, vocab.eos_id])
+    monkeypatch.setattr(experiment, "beam_search", lambda model, source, cfg: [best])
+    model = SimpleNamespace(config=SimpleNamespace(max_len=16))
+    assert experiment.translate_line(model, "ka1 ka2", vocab, "aa", None) == target
 
 
 def test_translate_reads_the_checkpoint_once(trained_run, tmp_path, monkeypatch):

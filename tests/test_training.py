@@ -29,6 +29,7 @@ from minimt.model import (
     Encoder,
     FreezeSpec,
     ModelConfig,
+    Transformer,
     apply_freeze,
     init_params,
     padding_attention_mask,
@@ -831,6 +832,24 @@ def test_validation_split_is_batched_once_per_train_loop(caplog):
     assert result.log_lines[-1].split("\t")[5] == repr(validation_loss(model, data, tc))
 
 
+@pytest.mark.parametrize("where", ["train", "validation", "mono"])
+def test_a_batch_wider_than_the_model_fails_before_step_1(tmp_path, monkeypatch, where):
+    vocab, data = toy_data()
+    long_line = " ".join(WORDS * 3)  # 24 tokens: 26 positions framed as a source
+    if where == "mono":
+        data.monolingual["yy"].splits["train"].append(encode(long_line, vocab, "yy"))
+    else:
+        data.parallel.splits[where].append(
+            ParallelExample(encode(long_line, vocab, "xx"), encode(long_line, vocab, "yy")))
+    monkeypatch.setattr(training, "train_step", lambda *args: pytest.fail("a step ran"))
+    tc = TrainConfig(steps=5, batch_size=4, max_len=64)
+    wide = 25 if where == "mono" else 26
+    with pytest.raises(TrainingError, match=rf"up to {wide} positions wide .* max_len 16"):
+        train_loop(tiny_model(vocab), data, tc, OptimizerConfig(),
+                   checkpoint_path=tmp_path / "c.npz")
+    assert not (tmp_path / "c.npz").exists()
+
+
 def test_metric_lines_are_on_disk_before_a_crash(tmp_path, monkeypatch):
     vocab, data = toy_data(with_mono=False)
     tc = TrainConfig(steps=6, batch_size=4, log_interval=1)
@@ -988,7 +1007,7 @@ def test_sharded_dropout_draws_from_generators_spawned_per_shard(shards):
     for _ in range(2):
         model, opt, batches = shard_step("joint", dropout_rate=0.2)
         bds = [train_step(model, *batches, opt) for _ in range(2)]
-        rngs = [model._dropout_rng] + [r._dropout_rng for r in training._replicas[model]]
+        rngs = [model._dropout_rng] + [r._dropout_rng for r, _ in training._replicas[model]]
         states = [rng.bit_generator.state["state"]["state"] for rng in rngs]
         assert len(set(states)) == 3  # each shard has its own generator and stream
         runs.append(([(bd.l_t, bd.l_clm_src, bd.l_clm_tgt) for bd in bds],
@@ -1183,7 +1202,7 @@ def test_the_clm_half_draws_dropout_from_a_spawned_generator(task_split):
     for _ in range(2):
         model, opt, batches = shard_step("joint", dropout_rate=0.2)
         bds = [train_step(model, *batches, opt) for _ in range(2)]
-        replica, = training._replicas[model]
+        (replica, _), = training._replicas[model]
         states = [rng.bit_generator.state["state"]["state"]
                   for rng in (model._dropout_rng, replica._dropout_rng)]
         assert states[0] != states[1]  # each half has its own generator and stream
@@ -1364,6 +1383,38 @@ def test_weight_zero_mtl_is_the_baseline_at_desk_shape(tmp_path, monkeypatch):
     tc = TrainConfig(steps=4, batch_size=16, log_interval=1, clm_loss_weight=0.0)
     result = assert_weight_zero_mtl_is_the_baseline(data, config, tc)
     assert (result.sharded_steps, result.task_split_steps) == (0, 4)
+
+
+@pytest.mark.parametrize("kind, multitask, lengths", [
+    ("task split", True, (3, 8)),  # a desk multitask step
+    ("row shards", False, (40, 60)),
+    ("whole", False, (3, 8)),  # a desk baseline step
+])
+def test_a_warm_step_walks_the_parameter_registry_once(tmp_path, monkeypatch, kind, multitask,
+                                                       lengths):
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    data = synthetic_data(tmp_path, 32, 32, seed=3, vocab_size=30, min_len=lengths[0],
+                          max_len=lengths[1])
+    model = init_params(ModelConfig(vocab_size=len(data.vocabulary), seed=1), multitask=multitask)
+    corpora = [data.parallel] + ([data.monolingual[l] for l in ("aa", "bb")] if multitask else [])
+    batches = [make_batches(c.split("train"), 16, data.vocabulary, 64, seed=0)[0] for c in corpora]
+    batches += [None] * (3 - len(batches))
+    opt = Adam(list(model.named_parameters()), OptimizerConfig())
+    walks, named_parameters = [], Transformer.named_parameters
+
+    def counted(self):
+        walks.append(self)
+        return named_parameters(self)
+
+    monkeypatch.setattr(Transformer, "named_parameters", counted)
+    bd = train_step(model, *batches, opt)  # the first step of a split kind makes its replica
+    assert (bd.shards, bd.task_split) == {"task split": (1, True), "row shards": (2, False),
+                                          "whole": (1, False)}[kind]
+    walks.clear()
+    for _ in range(3):
+        train_step(model, *batches, opt)
+    assert walks == [model] * 3
+    assert (model in training._replicas) == (kind != "whole")
 
 
 # --- convergence smoke ------------------------------------------------------------
