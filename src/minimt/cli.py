@@ -11,18 +11,15 @@ import logging
 import sys
 from pathlib import Path
 
-from minimt.config import ConfigError, DecodeSection, EvaluationSection, decode_config, load_config
-from minimt.data import Vocabulary, read_lines, write_atomically
-from minimt.evaluation import corpus_bleu
+from minimt.config import ConfigError, DecodeSection, EvaluationSection, load_config
+from minimt.data import read_lines
 from minimt.experiment import (
     ExperimentRunner,
     StageFailure,
-    _model_from_checkpoint,
-    _sha256_file,
     make_preset,
-    translate_line,
+    score_files,
+    translate_file,
 )
-from minimt.training import load_checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -60,36 +57,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    meta = ckpt.meta
-    if not meta or "model_config" not in meta:
-        raise ConfigError(f"{args.checkpoint}: checkpoint carries no translation metadata")
-    vocab = Vocabulary.load(args.vocab, mode=meta.get("tokenize_mode", "word"))
-    if meta.get("vocab_sha") and _sha256_file(args.vocab) != meta["vocab_sha"]:
-        raise ConfigError(f"{args.vocab}: vocabulary does not match the checkpoint fingerprint")
-    model = _model_from_checkpoint(ckpt)
-    decode_cfg = decode_config(args, vocab, meta["tgt_lang"], model.config.max_len)
     lines = read_lines(args.input)
-
-    def write(f):  # streamed into a temporary file that replaces the output when done
-        for line in lines:
-            hyp = translate_line(model, line, vocab, meta["src_lang"], decode_cfg)
-            f.write((hyp + "\n").encode("utf-8"))
-
-    write_atomically(args.output, write)
+    translate_file(args.checkpoint, args.vocab, lines, args.output, args)
     print(f"translate: {len(lines)} lines -> {args.output}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    hyps = read_lines(args.hypotheses)
-    refs = read_lines(args.references)
-    if len(hyps) != len(refs):
-        raise ConfigError(
-            f"line counts differ: {args.hypotheses} has {len(hyps)}, {args.references} has {len(refs)}")
-    report = corpus_bleu([(h.split(), r.split()) for h, r in zip(hyps, refs)],
-                         max_n=args.max_n, k=args.k, macro=args.macro)
-    print(report.render())
+    print(score_files(args.hypotheses, args.references, args.max_n, args.k, args.macro).render())
     return 0
 
 

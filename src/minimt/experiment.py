@@ -6,7 +6,10 @@ Both regimes inside one experiment share splits, vocabulary, initialization
 seed and decode settings; they differ only in the auxiliary objective (and,
 if the paper-faithful batch asymmetry is configured, the batch size).
 Completed stages are cached in the output directory's manifest, keyed by a
-fingerprint of the configuration that feeds them.
+fingerprint of the configuration that feeds them and of the stage before
+them. The translate and evaluate stages run ``translate_file`` and
+``score_files``, the same bodies as ``minimt translate`` and ``minimt
+evaluate``.
 """
 
 from __future__ import annotations
@@ -44,14 +47,14 @@ from minimt.data import (
     split_indices,
     token_budget,
     tokenize,
+    write_atomically,
     write_text_atomically,
 )
 from minimt.decoding import beam_search
-from minimt.evaluation import ComparisonReport, compare_report, corpus_bleu
+from minimt.evaluation import BleuReport, ComparisonReport, compare_report, corpus_bleu
 from minimt.model import FreezeSpec, ModelConfig, init_params
 from minimt.training import (
     PAPER_LR,
-    Checkpoint,
     TrainConfig,
     TrainData,
     config_fingerprint,
@@ -92,6 +95,10 @@ def _warn_over_length(corpora, mode: str, max_len: int) -> None:
                        "model.max_len=%d; the first is %s:%d", len(over), budget, max_len, *over[0])
 
 
+# train settings that the baseline regime never reads, so they stay out of its fingerprint
+_MULTITASK_ONLY = ("clm_loss_weight", "clm_batch_size", "mtl_batch_size")
+
+
 def _dir_name(direction: str) -> str:
     return direction.replace("->", "-")
 
@@ -111,20 +118,33 @@ class ExperimentRunner:
     def _save_manifest(self):
         write_json(self.manifest_path, self.manifest)
 
-    def _stage(self, name: str, fingerprint: str, outputs, build) -> bool:
+    def _stage(self, name: str, inputs: dict, outputs, build, after: str | None = None) -> bool:
         """Run ``build`` unless this stage already completed with the same
         fingerprint and its outputs still exist. Returns True when built.
-        A built stage's manifest entry also records its wall-clock
-        ``seconds``, the process's ``peak_rss_mb`` when it ended and any
-        fields of the dict ``build`` returns; none bears on whether the stage
-        is cached."""
+        The fingerprint is that of ``inputs`` plus, when the stage runs
+        ``after`` an upstream stage, that stage's fingerprint under its kind
+        (the part of its name before the first ``:``); an upstream stage
+        that has not run is a ConfigError. A stage about to rebuild drops
+        its old entry first, so a build that fails partway leaves no
+        "completed" entry beside the outputs it overwrote. A built stage's
+        entry also records its wall-clock ``seconds``, the process's
+        ``peak_rss_mb`` when it ended and any fields of the dict ``build``
+        returns; none bears on whether the stage is cached."""
+        stages = self.manifest.setdefault("stages", {})
+        if after is not None:
+            if after not in stages:
+                raise ConfigError(f"stage {after!r} has not run; run it before {name!r}")
+            inputs = {**inputs, after.partition(":")[0]: stages[after]["fingerprint"]}
+        fingerprint = config_fingerprint(inputs)
         outs = [str(p) for p in outputs]
-        entry = self.manifest.get("stages", {}).get(name)
+        entry = stages.get(name)
         if (entry and entry.get("fingerprint") == fingerprint
                 and entry.get("outputs") == outs and all(Path(p).exists() for p in outs)):
             logger.info("[%s] cached", name)
             return False
         logger.info("[%s] running", name)
+        if stages.pop(name, None) is not None:
+            self._save_manifest()
         start = time.perf_counter()
         try:
             extra = build() or {}
@@ -132,7 +152,7 @@ class ExperimentRunner:
             raise
         except Exception as e:
             raise StageFailure(name, e) from e
-        self.manifest.setdefault("stages", {})[name] = {
+        stages[name] = {
             "fingerprint": fingerprint, "outputs": outs,
             "seconds": round(time.perf_counter() - start, 3),
             "peak_rss_mb": round(_peak_rss_mb(), 1), **extra}
@@ -152,7 +172,6 @@ class ExperimentRunner:
         self.out.mkdir(parents=True, exist_ok=True)
         self.config.validate_files()
         data = self.config.data
-        fp = config_fingerprint({"seed": self.config.seed, "data": self.config.to_dict()["data"]})
         mono_langs = sorted(data.mono_files)
         outputs = [self.vocab_path, self._manifest_file("parallel"),
                    *(self._manifest_file(f"mono_{l}") for l in mono_langs)]
@@ -189,13 +208,8 @@ class ExperimentRunner:
                 write_manifest(f"mono_{lang}", len(mono_lines[lang]),
                                SplitConfig(*data.mono_split, seed=seed))
 
-        return self._stage("prepare", fp, outputs, build)
-
-    def _prepare_fingerprint(self) -> str:
-        entry = self.manifest.get("stages", {}).get("prepare")
-        if not entry:
-            raise ConfigError("prepare has not run; run the prepare stage first")
-        return entry["fingerprint"]
+        return self._stage("prepare", {"seed": self.config.seed,
+                                       "data": self.config.to_dict()["data"]}, outputs, build)
 
     def _load_vocab(self) -> Vocabulary:
         return Vocabulary.load(self.vocab_path, mode=self.config.data.tokenize_mode)
@@ -223,10 +237,10 @@ class ExperimentRunner:
         ckpt_path = run_dir / "checkpoint.npz"
         log_path = run_dir / "metrics.tsv"
         sections = config.to_dict()
-        fp = config_fingerprint({
-            "prepare": self._prepare_fingerprint(), "direction": direction, "regime": regime,
-            "model": sections["model"], "train": sections["train"],
-            "optimizer": sections["optimizer"], "seed": seed})
+        train = {k: v for k, v in sections["train"].items()
+                 if regime == "mtl" or k not in _MULTITASK_ONLY}
+        inputs = {"direction": direction, "regime": regime, "model": sections["model"],
+                  "train": train, "optimizer": sections["optimizer"], "seed": seed}
 
         def build():
             src_lang, tgt_lang, src_file, tgt_file = self._direction_files(direction)
@@ -271,7 +285,8 @@ class ExperimentRunner:
                     "task_split_steps": result.task_split_steps,
                     "blas_threads": result.blas_threads}
 
-        self._stage(f"train:{direction}:{regime}", fp, [ckpt_path, log_path], build)
+        self._stage(f"train:{direction}:{regime}", inputs, [ckpt_path, log_path], build,
+                    after="prepare")
         return ckpt_path
 
     # --- translate ------------------------------------------------------------------
@@ -280,29 +295,18 @@ class ExperimentRunner:
         run_dir = self._run_dir(direction, regime)
         hyp_path = run_dir / "hypotheses.txt"
         ref_path = run_dir / "references.txt"
-        train_entry = self.manifest.get("stages", {}).get(f"train:{direction}:{regime}")
-        if not train_entry:
-            raise ConfigError(f"train stage for {direction}/{regime} has not run")
-        fp = config_fingerprint({"train": train_entry["fingerprint"],
-                                 "decode": self.config.to_dict()["decode"]})
 
         def build():
-            src_lang, tgt_lang, src_file, tgt_file = self._direction_files(direction)
-            vocab = self._load_vocab()
+            _, _, src_file, tgt_file = self._direction_files(direction)
             indices = self._load_indices("parallel")["test"]
-            src_lines = read_lines(src_file)
-            tgt_lines = read_lines(tgt_file)
-            model = _model_from_checkpoint(load_checkpoint(run_dir / "checkpoint.npz"))
-            decode_cfg = decode_config(self.config.decode, vocab, tgt_lang,
-                                       self.config.model.max_len)
-            hyps, refs = [], []
-            for i in indices:
-                hyps.append(translate_line(model, src_lines[i], vocab, src_lang, decode_cfg))
-                refs.append(" ".join(tgt_lines[i].split()))
-            write_text_atomically(hyp_path, "".join(h + "\n" for h in hyps))
-            write_text_atomically(ref_path, "".join(r + "\n" for r in refs))
+            src_lines, tgt_lines = read_lines(src_file), read_lines(tgt_file)
+            translate_file(run_dir / "checkpoint.npz", self.vocab_path,
+                           [src_lines[i] for i in indices], hyp_path, self.config.decode)
+            write_text_atomically(ref_path, "".join(" ".join(tgt_lines[i].split()) + "\n"
+                                                    for i in indices))
 
-        self._stage(f"translate:{direction}:{regime}", fp, [hyp_path, ref_path], build)
+        self._stage(f"translate:{direction}:{regime}", {"decode": self.config.to_dict()["decode"]},
+                    [hyp_path, ref_path], build, after=f"train:{direction}:{regime}")
         return hyp_path
 
     # --- evaluate ------------------------------------------------------------------
@@ -310,27 +314,16 @@ class ExperimentRunner:
     def evaluate(self, direction: str, regime: str) -> Path:
         run_dir = self._run_dir(direction, regime)
         bleu_path = run_dir / "bleu.json"
-        tr_entry = self.manifest.get("stages", {}).get(f"translate:{direction}:{regime}")
-        if not tr_entry:
-            raise ConfigError(f"translate stage for {direction}/{regime} has not run")
-        fp = config_fingerprint({"translate": tr_entry["fingerprint"],
-                                 "evaluation": self.config.to_dict()["evaluation"]})
 
         def build():
             ev = self.config.evaluation
-            hyps = read_lines(run_dir / "hypotheses.txt")
-            refs = read_lines(run_dir / "references.txt")
-            pairs = [(h.split(), r.split()) for h, r in zip(hyps, refs)]
-            report = corpus_bleu(pairs, max_n=ev.max_n, k=ev.smoothing_k,
-                                 macro=(ev.aggregate == "macro"))
-            payload = {"bleu": report.bleu, "brevity_penalty": report.brevity_penalty,
-                       "hyp_len": report.hyp_len, "ref_len": report.ref_len,
-                       "raw_precisions": report.raw_precisions,
-                       "smoothed_precisions": report.smoothed_precisions,
-                       "note": report.note}
-            write_json(bleu_path, payload)
+            report = score_files(run_dir / "hypotheses.txt", run_dir / "references.txt",
+                                 ev.max_n, ev.smoothing_k, ev.aggregate == "macro")
+            write_json(bleu_path, dataclasses.asdict(report))
 
-        self._stage(f"evaluate:{direction}:{regime}", fp, [bleu_path], build)
+        self._stage(f"evaluate:{direction}:{regime}",
+                    {"evaluation": self.config.to_dict()["evaluation"]}, [bleu_path], build,
+                    after=f"translate:{direction}:{regime}")
         return bleu_path
 
     # --- the whole protocol -----------------------------------------------------------
@@ -355,11 +348,42 @@ class ExperimentRunner:
         return report
 
 
-def _model_from_checkpoint(ckpt: Checkpoint):
+def translate_file(checkpoint, vocab_path, lines, output, decode_settings) -> None:
+    """Beam-decode the raw source ``lines`` with the model saved in
+    ``checkpoint`` into ``output``, one hypothesis a line. The checkpoint's
+    ``meta`` names the languages, the tokenize mode and the hash that
+    ``vocab_path`` must match; ``decode_settings`` has a ``DecodeSection``'s
+    fields. The hypotheses stream into a temporary file that replaces
+    ``output`` when done."""
+    ckpt = load_checkpoint(checkpoint)
     meta = ckpt.meta
+    if not meta or "model_config" not in meta:
+        raise ConfigError(f"{checkpoint}: checkpoint carries no translation metadata")
+    vocab = Vocabulary.load(vocab_path, mode=meta.get("tokenize_mode", "word"))
+    if meta.get("vocab_sha") and _sha256_file(vocab_path) != meta["vocab_sha"]:
+        raise ConfigError(f"{vocab_path}: vocabulary does not match the checkpoint fingerprint")
     model = init_params(ModelConfig(**meta["model_config"]), multitask=meta["multitask"])
     restore_checkpoint(model, None, ckpt)
-    return model.eval()
+    model.eval()
+    decode_cfg = decode_config(decode_settings, vocab, meta["tgt_lang"], model.config.max_len)
+
+    def write(f):
+        for line in lines:
+            hyp = translate_line(model, line, vocab, meta["src_lang"], decode_cfg)
+            f.write((hyp + "\n").encode("utf-8"))
+
+    write_atomically(output, write)
+
+
+def score_files(hypotheses, references, max_n: int, k: float, macro: bool) -> BleuReport:
+    """``corpus_bleu`` of a hypothesis file against a reference file, line
+    by line; files with different line counts are a ConfigError."""
+    hyps, refs = read_lines(hypotheses), read_lines(references)
+    if len(hyps) != len(refs):
+        raise ConfigError(
+            f"line counts differ: {hypotheses} has {len(hyps)}, {references} has {len(refs)}")
+    return corpus_bleu([(h.split(), r.split()) for h, r in zip(hyps, refs)],
+                       max_n=max_n, k=k, macro=macro)
 
 
 def translate_line(model, line: str, vocab: Vocabulary, src_lang: str, decode_cfg) -> str:

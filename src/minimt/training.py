@@ -572,18 +572,20 @@ class TrainData:
 
 class _CyclingBatches:
     """Reshuffling batch iterator; order is a pure function of
-    (seed, role, cycle) so a cursor fully captures its state. Truncation is
-    logged once, when the iterator first batches its corpus."""
+    (seed, role, cycle) so a cursor fully captures its state, and the
+    iterator starts at ``cursor`` (by default the first batch of cycle 0).
+    Truncation is logged once, when the iterator first batches its corpus."""
 
-    def __init__(self, examples, batch_size, vocab, max_len, seed, role):
+    def __init__(self, examples, batch_size, vocab, max_len, seed, role, cursor=None):
         self.examples = examples
         self.batch_size = batch_size
         self.vocab = vocab
         self.max_len = max_len
         self.seed = seed
         self.role = role
-        self.cycle = 0
-        self.pos = 0
+        cursor = cursor or {"cycle": 0, "pos": 0}
+        self.cycle = int(cursor["cycle"])
+        self.pos = int(cursor["pos"])
         self._batches = self._generate(log_truncation=True)
 
     def _generate(self, log_truncation=False):
@@ -603,11 +605,6 @@ class _CyclingBatches:
     @property
     def cursor(self):
         return {"cycle": self.cycle, "pos": self.pos}
-
-    def seek(self, cursor):
-        self.cycle = int(cursor["cycle"])
-        self.pos = int(cursor["pos"])
-        self._batches = self._generate()
 
 
 _ROLE_TRANSLATION, _ROLE_SRC_MONO, _ROLE_TGT_MONO, _ROLE_VALID = 0, 1, 2, 99
@@ -790,6 +787,16 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     fingerprint = config_fingerprint(model.config, train_config, optimizer_config,
                                      {"frozen": sorted(freeze_spec.frozen)})
 
+    step, ckpt = 0, None
+    if resume_from is not None:
+        ckpt = load_checkpoint(resume_from, expected_fingerprint=fingerprint)
+        restore_checkpoint(model, optimizer, ckpt)
+        step = ckpt.step
+
+    def batch_stream(name, examples, batch_size, role):  # resumed at the checkpoint's cursor
+        return _CyclingBatches(examples, batch_size, data.vocabulary, train_config.max_len,
+                               train_config.seed, role, ckpt.cursors[name] if ckpt else None)
+
     langs = (data.parallel.source_language, data.parallel.target_language)
     streams = {}  # checkpoint cursor name -> batch stream
     if model.multitask:
@@ -798,14 +805,12 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
             raise TrainingError(f"multitask training needs monolingual corpora for {missing}")
         for name, lang, role in (("src_mono", langs[0], _ROLE_SRC_MONO),
                                  ("tgt_mono", langs[1], _ROLE_TGT_MONO)):
-            streams[name] = _CyclingBatches(data.monolingual[lang].split("train"),
-                                            train_config.effective_clm_batch_size, data.vocabulary,
-                                            train_config.max_len, train_config.seed, role)
-    streams["translation"] = _CyclingBatches(data.parallel.split("train"), train_config.batch_size,
-                                             data.vocabulary, train_config.max_len,
-                                             train_config.seed, _ROLE_TRANSLATION)
+            streams[name] = batch_stream(name, data.monolingual[lang].split("train"),
+                                         train_config.effective_clm_batch_size, role)
+    streams["translation"] = batch_stream("translation", data.parallel.split("train"),
+                                          train_config.batch_size, _ROLE_TRANSLATION)
     val_batches = validation_batches(data, train_config)  # batched (and warned about) once
-    # a stream's first cycle holds all of its examples, so it has the widest batch
+    # every cycle of a stream holds all of its examples, so any cycle has the widest batch
     widest = max((_width(b) for batches in [val_batches, *(st._batches for st in streams.values())]
                   for b in batches), default=0)
     if widest > model.config.max_len:
@@ -813,14 +818,6 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
                             f"{model.config.max_len}; set the training max_len to at most that")
     total_steps = (train_config.steps if train_config.steps is not None
                    else train_config.epochs * len(streams["translation"]._batches))
-
-    step = 0
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from, expected_fingerprint=fingerprint)
-        restore_checkpoint(model, optimizer, ckpt)
-        step = ckpt.step
-        for name, stream in streams.items():
-            stream.seek(ckpt.cursors[name])
 
     def cursors():
         return {name: stream.cursor for name, stream in streams.items()}

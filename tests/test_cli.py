@@ -287,14 +287,13 @@ def test_translate_line_joins_tokens_as_the_vocabulary_mode_does(monkeypatch, mo
 
 
 def test_translate_reads_the_checkpoint_once(trained_run, tmp_path, monkeypatch):
-    from minimt import cli, experiment, training
+    from minimt import experiment, training
     loads = []
 
     def counting_load(*args, **kwargs):
         loads.append(args[0])
         return training.load_checkpoint(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
     monkeypatch.setattr(experiment, "load_checkpoint", counting_load)
     out, _, _ = trained_run
     src = tmp_path / "in.txt"
@@ -321,7 +320,7 @@ def test_translate_rejects_foreign_vocab(trained_run, tmp_path, capsys):
 
 def test_translate_failing_partway_keeps_the_previous_output(trained_run, tmp_path,
                                                              monkeypatch, capsys):
-    from minimt import cli
+    from minimt import experiment
     out, _, _ = trained_run
     src = tmp_path / "in.txt"
     src.write_text("ka1 ka2\nka3\nka4\n")
@@ -335,8 +334,8 @@ def test_translate_failing_partway_keeps_the_previous_output(trained_run, tmp_pa
             raise RuntimeError("decoder crashed")
         return translate_line(*args, **kwargs)
 
-    translate_line = cli.translate_line
-    monkeypatch.setattr(cli, "translate_line", crash_on_second_line)
+    translate_line = experiment.translate_line
+    monkeypatch.setattr(experiment, "translate_line", crash_on_second_line)
     assert main(["translate",
                  "--checkpoint", str(out / "aa-bb" / "mtl" / "checkpoint.npz"),
                  "--vocab", str(out / "vocab.txt"),
@@ -384,6 +383,31 @@ def test_evaluate_rejects_a_zero_bleu_setting(tmp_path, capsys, flag, setting):
     assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(hyp),
                  flag, "0"]) == 1
     assert re.search(rf"^error: evaluate: {setting} must be .*, got 0", capsys.readouterr().err)
+
+
+def test_translate_and_evaluate_commands_reproduce_the_stages(trained_run, tmp_path, capsys):
+    out, config_path, _ = trained_run
+    config = load_config(config_path)
+    run = out / "aa-bb" / "mtl"
+    test = json.loads((out / "manifests" / "parallel.json").read_text())["indices"]["test"]
+    lines = Path(config.data.parallel_src_file).read_text().splitlines()
+    src = tmp_path / "test.aa"
+    src.write_text("".join(lines[i] + "\n" for i in test))
+    decode = config.decode
+    assert main(["translate", "--checkpoint", str(run / "checkpoint.npz"),
+                 "--vocab", str(out / "vocab.txt"), "--input", str(src),
+                 "--output", str(tmp_path / "hyp.txt"),
+                 "--beam-size", str(decode.beam_size),
+                 "--length-penalty", repr(decode.length_penalty),
+                 "--max-decode-len", str(decode.max_decode_len),
+                 "--penalty-form", decode.penalty_form]) == 0
+    assert (tmp_path / "hyp.txt").read_bytes() == (run / "hypotheses.txt").read_bytes()
+
+    capsys.readouterr()
+    assert main(["evaluate", "--hypotheses", str(run / "hypotheses.txt"),
+                 "--references", str(run / "references.txt")]) == 0
+    bleu = json.loads((run / "bleu.json").read_text())["bleu"]
+    assert f"BLEU = {bleu * 100:.2f} " in capsys.readouterr().out
 
 
 def test_translate_and_evaluate_defaults_are_the_config_sections_defaults():
@@ -505,6 +529,65 @@ def test_failed_report_write_keeps_the_previous_report(trained_run, monkeypatch)
     assert refused == ["report.txt"]
     assert {name: (out / name).read_bytes() for name in before} == before
     assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_a_failed_rebuild_leaves_no_completed_entry(tmp_path, monkeypatch, caplog):
+    def train(config):
+        runner = ExperimentRunner(config)
+        runner.prepare()
+        return runner.train("aa->bb", "baseline")
+
+    config = fast_smoke(tmp_path / "run")
+    ckpt = train(config)
+    finished = ckpt.read_bytes()
+    # the same run with snapshots every 2 steps, killed at step 5
+    train_step, steps = training.train_step, []
+
+    def killed_at_step_5(*args, **kwargs):
+        steps.append(len(steps) + 1)
+        if len(steps) == 5:
+            raise RuntimeError("killed")
+        return train_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_step", killed_at_step_5)
+    config.train.checkpoint_interval = 2
+    with pytest.raises(StageFailure, match="killed"):
+        train(config)
+    monkeypatch.undo()
+    assert ckpt.read_bytes() != finished  # overwritten by the step-4 snapshot
+    stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+    assert "train:aa->bb:baseline" not in stages
+
+    config.train.checkpoint_interval = None
+    with caplog.at_level(logging.INFO, logger="minimt.experiment"):
+        train(config)
+    assert "[train:aa->bb:baseline] running" in caplog.text
+    assert ckpt.read_bytes() == finished
+
+
+@pytest.mark.parametrize("setting, value", [("clm_loss_weight", 0.3), ("clm_batch_size", 4),
+                                            ("mtl_batch_size", 4)])
+def test_a_multitask_setting_does_not_retrain_the_baseline(tmp_path, caplog, setting, value):
+    config = fast_smoke(tmp_path / "run", steps=2)
+    config.directions = ["aa->bb"]
+    ExperimentRunner(config).run()
+    setattr(config.train, setting, value)
+    with caplog.at_level(logging.INFO, logger="minimt.experiment"):
+        ExperimentRunner(config).run()
+    for stage in ("train", "translate", "evaluate"):
+        assert f"[{stage}:aa->bb:baseline] cached" in caplog.text
+        assert f"[{stage}:aa->bb:mtl] running" in caplog.text
+
+
+def test_a_stage_whose_upstream_has_not_run_names_it(tmp_path):
+    runner = ExperimentRunner(fast_smoke(tmp_path / "run"))
+    with pytest.raises(ConfigError, match="'prepare' has not run"):
+        runner.train("aa->bb", "mtl")
+    runner.prepare()
+    with pytest.raises(ConfigError, match="'train:aa->bb:mtl' has not run"):
+        runner.translate("aa->bb", "mtl")
+    with pytest.raises(ConfigError, match="'translate:aa->bb:mtl' has not run"):
+        runner.evaluate("aa->bb", "mtl")
 
 
 def test_experiment_deterministic_across_directories(tmp_path):

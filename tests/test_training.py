@@ -794,6 +794,27 @@ def test_resume_equals_uninterrupted(tmp_path):
     assert r_full.log_lines[5:] == r_resumed.log_lines
 
 
+def test_resume_batches_each_stream_once(tmp_path, monkeypatch):
+    vocab, data = toy_data()
+    oc = OptimizerConfig(lr=1e-3)
+    tc = TrainConfig(steps=5, batch_size=4, log_interval=1, seed=7)
+    ckpt_path = tmp_path / "mid.npz"
+    train_loop(tiny_model(vocab), data, tc, oc, checkpoint_path=ckpt_path)
+    assert load_checkpoint(ckpt_path).cursors["translation"]["cycle"] == 1
+    calls = []
+
+    def counting_make_batches(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return make_batches(*args, **kwargs)
+
+    monkeypatch.setattr(training, "make_batches", counting_make_batches)
+    # resumed at the checkpoint's own step, so no step runs
+    result = train_loop(tiny_model(vocab), data, tc, oc, resume_from=ckpt_path)
+    assert result.steps_run == 5 and result.log_lines == []
+    # two monolingual streams, the translation stream and the validation split
+    assert len(calls) == 4
+
+
 def test_resume_rejects_different_model_config(tmp_path):
     vocab, data = toy_data()
     oc = OptimizerConfig()
