@@ -332,7 +332,9 @@ def _truncate(ids, max_len, counter):
     return ids
 
 
-def _pad_rows(rows, pad_id):
+def pad_rows(rows, pad_id):
+    """The id rows ``rows`` as one (len(rows), widest) array, PAD-padded on
+    the right, and its 1/0 mask of real positions."""
     width = max(len(r) for r in rows)
     mat = np.full((len(rows), width), pad_id, dtype=np.int64)
     mask = np.zeros((len(rows), width))
@@ -345,7 +347,7 @@ def _pad_rows(rows, pad_id):
 def stack_padded(arrays, pad_id) -> np.ndarray:
     """Stack 2-D id arrays row-wise in order, each PAD-padded on the right
     to the widest one."""
-    return _pad_rows([row for a in arrays for row in a], pad_id)[0]
+    return pad_rows([row for a in arrays for row in a], pad_id)[0]
 
 
 def frame_source(ids, vocab, language):
@@ -382,17 +384,17 @@ def make_batches(examples, batch_size: int, vocabulary: Vocabulary, max_len: int
                                       ex.source.language) for ex in chunk]
             framed = [frame_target(_truncate(ex.target.ids, max_len, truncated), vocabulary,
                                     ex.target.language) for ex in chunk]
-            src, src_mask = _pad_rows(src_rows, vocabulary.pad_id)
-            tgt_in, tgt_mask = _pad_rows([f[0] for f in framed], vocabulary.pad_id)
-            labels, _ = _pad_rows([f[1] for f in framed], vocabulary.pad_id)
+            src, src_mask = pad_rows(src_rows, vocabulary.pad_id)
+            tgt_in, tgt_mask = pad_rows([f[0] for f in framed], vocabulary.pad_id)
+            labels, _ = pad_rows([f[1] for f in framed], vocabulary.pad_id)
             batches.append(ParallelBatch(src, src_mask, tgt_in, labels, tgt_mask,
                                          chunk[0].source.language, chunk[0].target.language,
                                          vocabulary.pad_id))
         else:
             framed = [frame_target(_truncate(seq.ids, max_len, truncated), vocabulary, seq.language)
                       for seq in chunk]
-            dec_in, mask = _pad_rows([f[0] for f in framed], vocabulary.pad_id)
-            labels, _ = _pad_rows([f[1] for f in framed], vocabulary.pad_id)
+            dec_in, mask = pad_rows([f[0] for f in framed], vocabulary.pad_id)
+            labels, _ = pad_rows([f[1] for f in framed], vocabulary.pad_id)
             batches.append(MonoBatch(dec_in, labels, mask, chunk[0].language,
                                      vocabulary.pad_id, vocabulary.eos_id))
     if truncated[0] and log_truncation:

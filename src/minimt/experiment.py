@@ -50,10 +50,11 @@ from minimt.data import (
     write_atomically,
     write_text_atomically,
 )
-from minimt.decoding import beam_search
+from minimt.decoding import beam_search_batch, sources_per_chunk
 from minimt.evaluation import BleuReport, ComparisonReport, compare_report, corpus_bleu
 from minimt.model import FreezeSpec, ModelConfig, init_params
 from minimt.training import (
+    MULTITASK_ONLY_FIELDS,
     PAPER_LR,
     TrainConfig,
     TrainData,
@@ -96,7 +97,7 @@ def _warn_over_length(corpora, mode: str, max_len: int) -> None:
 
 
 # train settings that the baseline regime never reads, so they stay out of its fingerprint
-_MULTITASK_ONLY = ("clm_loss_weight", "clm_batch_size", "mtl_batch_size")
+_MULTITASK_ONLY = (*MULTITASK_ONLY_FIELDS, "mtl_batch_size")
 
 
 def _dir_name(direction: str) -> str:
@@ -353,9 +354,10 @@ def translate_file(checkpoint, vocab_path, lines, output, decode_settings) -> No
     ``checkpoint`` into ``output``, one hypothesis a line. The checkpoint's
     ``meta`` names the languages, the tokenize mode and the hash that
     ``vocab_path`` must match; ``decode_settings`` has a ``DecodeSection``'s
-    fields. The hypotheses stream into a temporary file that replaces
-    ``output`` when done."""
-    ckpt = load_checkpoint(checkpoint)
+    fields. Only the checkpoint's parameters are read. The lines are
+    decoded in chunks of ``sources_per_chunk`` and each chunk's hypotheses
+    stream into a temporary file that replaces ``output`` when done."""
+    ckpt = load_checkpoint(checkpoint, params_only=True)
     meta = ckpt.meta
     if not meta or "model_config" not in meta:
         raise ConfigError(f"{checkpoint}: checkpoint carries no translation metadata")
@@ -366,11 +368,13 @@ def translate_file(checkpoint, vocab_path, lines, output, decode_settings) -> No
     restore_checkpoint(model, None, ckpt)
     model.eval()
     decode_cfg = decode_config(decode_settings, vocab, meta["tgt_lang"], model.config.max_len)
+    n = sources_per_chunk(model.config, decode_cfg)
 
     def write(f):
-        for line in lines:
-            hyp = translate_line(model, line, vocab, meta["src_lang"], decode_cfg)
-            f.write((hyp + "\n").encode("utf-8"))
+        for start in range(0, len(lines), n):
+            for hyp in translate_lines(model, lines[start:start + n], vocab, meta["src_lang"],
+                                       decode_cfg):
+                f.write((hyp + "\n").encode("utf-8"))
 
     write_atomically(output, write)
 
@@ -386,13 +390,15 @@ def score_files(hypotheses, references, max_n: int, k: float, macro: bool) -> Bl
                        max_n=max_n, k=k, macro=macro)
 
 
-def translate_line(model, line: str, vocab: Vocabulary, src_lang: str, decode_cfg) -> str:
-    """Beam-decode one raw source line into target-language text; a line
-    over the model's ``token_budget`` is truncated to it, as in batching."""
-    ids = encode(line, vocab, src_lang).ids[: token_budget(model.config.max_len)]
-    source = frame_source(ids, vocab, src_lang)
-    best = beam_search(model, source, decode_cfg)[0]
-    return decode([t for t in best.tokens if not vocab.is_special(t)], vocab)
+def translate_lines(model, lines, vocab: Vocabulary, src_lang: str, decode_cfg) -> list:
+    """Beam-decode raw source lines, as one batch, into target-language text;
+    a line over the model's ``token_budget`` is truncated to it, as in
+    batching."""
+    budget = token_budget(model.config.max_len)
+    sources = [frame_source(encode(line, vocab, src_lang).ids[:budget], vocab, src_lang)
+               for line in lines]
+    return [decode([t for t in hyps[0].tokens if not vocab.is_special(t)], vocab)
+            for hyps in beam_search_batch(model, sources, decode_cfg)]
 
 
 # --- presets --------------------------------------------------------------------------

@@ -232,19 +232,28 @@ class DecoderCache:
     """What an incremental decoder pass reuses, per layer: the cross-attention
     keys and values of the encoder output, projected once per source, and
     the self-attention keys and values of the ``length`` positions decoded so
-    far (None before the first). All are (B, T, d_model) tensors."""
+    far (None before the first). All are (B, T, d_model) tensors.
+
+    ``sources`` holds the encoder row that each decoder row cross-attends
+    to, and ``cross`` those rows' keys and values. While it is None, the
+    decoder rows are the encoder rows themselves, or share its one row."""
 
     def __init__(self, decoder, enc_states):
-        self.cross = [layer.cross_attn.keys_values(enc_states) for layer in decoder.layers]
+        self.by_source = [layer.cross_attn.keys_values(enc_states) for layer in decoder.layers]
+        self.cross, self.sources = self.by_source, None
         self.past = [None] * len(decoder.layers)
         self.length = 0
 
-    def select(self, rows):
+    def select(self, rows, sources=None):
         """A new cache whose self-attention rows are these rows of this one
-        (an index array; rows may repeat); the cross-attention part is shared."""
+        (an index array; rows may repeat) and whose row i cross-attends to
+        encoder row ``sources[i]`` (None: the cross-attention part is shared)."""
         out = copy.copy(self)
         out.past = [None if kv is None else tuple(Tensor(t.data[rows]) for t in kv)
                     for kv in self.past]
+        if sources is not None and not np.array_equal(sources, self.sources):
+            out.sources = sources
+            out.cross = [tuple(Tensor(t.data[sources]) for t in kv) for kv in self.by_source]
         return out
 
 

@@ -649,19 +649,21 @@ def token_accuracy(model, batches) -> float:
 
 
 # runtime controls that a resumed run may legitimately change
-_NON_IDENTITY_FIELDS = {"steps", "epochs", "log_interval", "checkpoint_interval"}
+_NON_IDENTITY_FIELDS = ("steps", "epochs", "log_interval", "checkpoint_interval")
+# settings that only a multitask model reads
+MULTITASK_ONLY_FIELDS = ("clm_loss_weight", "clm_batch_size")
+
+
+def _train_identity(config: TrainConfig, multitask: bool) -> dict:
+    """The fields of ``config`` that a checkpoint's fingerprint covers: all
+    but the runtime controls, and for a baseline model all but the
+    multitask-only settings too."""
+    skip = _NON_IDENTITY_FIELDS + (() if multitask else MULTITASK_ONLY_FIELDS)
+    return {k: v for k, v in dataclasses.asdict(config).items() if k not in skip}
 
 
 def config_fingerprint(*configs) -> str:
-    payload = []
-    for c in configs:
-        if dataclasses.is_dataclass(c):
-            d = dataclasses.asdict(c)
-            if isinstance(c, TrainConfig):
-                d = {k: v for k, v in d.items() if k not in _NON_IDENTITY_FIELDS}
-            payload.append(d)
-        else:
-            payload.append(c)
+    payload = [dataclasses.asdict(c) if dataclasses.is_dataclass(c) else c for c in configs]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -699,27 +701,30 @@ def save_checkpoint(path, model, optimizer: Adam, fingerprint: str, step: int,
     write_atomically(path, lambda f: np.savez(f, **arrays))
 
 
-def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint:
+def load_checkpoint(path, expected_fingerprint: str | None = None,
+                    params_only: bool = False) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``. With ``params_only``
+    the Adam moments are left unread, and ``adam_m`` and ``adam_v`` are
+    empty: translating needs the parameters alone."""
     try:
         archive = np.load(path, allow_pickle=False)
         header = json.loads(bytes(archive["__header__"]).decode())
     except Exception as e:
         raise TrainingError(f"corrupt or unreadable checkpoint {path}: {e}") from None
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise TrainingError(f"checkpoint version {header.get('version')} unsupported")
-    if expected_fingerprint is not None and header["fingerprint"] != expected_fingerprint:
-        raise TrainingError(
-            "checkpoint fingerprint mismatch: the stored configuration differs from the current one")
-    params, adam_m, adam_v = {}, {}, {}
-    for key in archive.files:
-        if key.startswith("param:"):
-            params[key[len("param:"):]] = archive[key]
-        elif key.startswith("adam_m:"):
-            adam_m[key[len("adam_m:"):]] = archive[key]
-        elif key.startswith("adam_v:"):
-            adam_v[key[len("adam_v:"):]] = archive[key]
+    with archive:
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise TrainingError(f"checkpoint version {header.get('version')} unsupported")
+        if expected_fingerprint is not None and header["fingerprint"] != expected_fingerprint:
+            raise TrainingError("checkpoint fingerprint mismatch: the stored configuration "
+                                "differs from the current one")
+        members = {"param": {}} if params_only else {"param": {}, "adam_m": {}, "adam_v": {}}
+        for key in archive.files:
+            kind, _, name = key.partition(":")
+            if kind in members:
+                members[kind][name] = archive[key]
     return Checkpoint(version=header["version"], fingerprint=header["fingerprint"],
-                      step=header["step"], params=params, adam_m=adam_m, adam_v=adam_v,
+                      step=header["step"], params=members["param"],
+                      adam_m=members.get("adam_m", {}), adam_v=members.get("adam_v", {}),
                       adam_t=header["adam_t"], cursors=header["cursors"], meta=header["meta"])
 
 
@@ -784,8 +789,8 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     trainable = apply_freeze(model, freeze_spec)
     optimizer = Adam(trainable, optimizer_config)
     # the frozen set shapes the optimizer state, so it is part of the identity
-    fingerprint = config_fingerprint(model.config, train_config, optimizer_config,
-                                     {"frozen": sorted(freeze_spec.frozen)})
+    fingerprint = config_fingerprint(model.config, _train_identity(train_config, model.multitask),
+                                     optimizer_config, {"frozen": sorted(freeze_spec.frozen)})
 
     step, ckpt = 0, None
     if resume_from is not None:

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from minimt import training
@@ -275,15 +276,17 @@ def test_translate_truncates_a_line_over_the_token_budget(trained_run, tmp_path)
 
 
 @pytest.mark.parametrize("mode", ["word", "char"])
-def test_translate_line_joins_tokens_as_the_vocabulary_mode_does(monkeypatch, mode):
+def test_translate_lines_joins_tokens_as_the_vocabulary_mode_does(monkeypatch, mode):
     from minimt import experiment
     target = "zo13 zo15"
     vocab = build_vocab([target, "ka1 ka2"], languages=["aa", "bb"], mode=mode)
     ids = encode(target, vocab, "bb").ids
     best = SimpleNamespace(tokens=[vocab.lang_id("bb"), *ids, vocab.eos_id])
-    monkeypatch.setattr(experiment, "beam_search", lambda model, source, cfg: [best])
+    monkeypatch.setattr(experiment, "beam_search_batch",
+                        lambda model, sources, cfg: [[best] for _ in sources])
     model = SimpleNamespace(config=SimpleNamespace(max_len=16))
-    assert experiment.translate_line(model, "ka1 ka2", vocab, "aa", None) == target
+    assert experiment.translate_lines(model, ["ka1 ka2", "ka2"], vocab, "aa", None) == \
+        [target, target]
 
 
 def test_translate_reads_the_checkpoint_once(trained_run, tmp_path, monkeypatch):
@@ -303,6 +306,27 @@ def test_translate_reads_the_checkpoint_once(trained_run, tmp_path, monkeypatch)
                  "--vocab", str(out / "vocab.txt"),
                  "--input", str(src), "--output", str(tmp_path / "o.txt")]) == 0
     assert len(loads) == 1
+
+
+def test_translate_reads_no_adam_moments(trained_run, tmp_path, monkeypatch):
+    read = []
+    real_getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def recording_getitem(archive, key):
+        read.append(key)
+        return real_getitem(archive, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording_getitem)
+    out, _, _ = trained_run
+    ckpt = out / "aa-bb" / "mtl" / "checkpoint.npz"
+    src = tmp_path / "in.txt"
+    src.write_text("ka1 ka2\n")
+    assert main(["translate", "--checkpoint", str(ckpt), "--vocab", str(out / "vocab.txt"),
+                 "--input", str(src), "--output", str(tmp_path / "o.txt")]) == 0
+    with np.load(ckpt) as archive:
+        members = archive.files
+    assert any(m.startswith("adam_m:") for m in members)
+    assert sorted(read) == sorted(m for m in members if not m.startswith(("adam_m:", "adam_v:")))
 
 
 def test_translate_rejects_foreign_vocab(trained_run, tmp_path, capsys):
@@ -328,20 +352,24 @@ def test_translate_failing_partway_keeps_the_previous_output(trained_run, tmp_pa
     dst.write_text("an earlier translation\n")
     decoded = []
 
-    def crash_on_second_line(*args, **kwargs):
+    def crash_on_second_chunk(*args, **kwargs):
         decoded.append(args[1])
         if len(decoded) == 2:
             raise RuntimeError("decoder crashed")
-        return translate_line(*args, **kwargs)
+        return translate_lines(*args, **kwargs)
 
-    translate_line = experiment.translate_line
-    monkeypatch.setattr(experiment, "translate_line", crash_on_second_line)
+    def two_per_chunk(model_config, config):
+        return 2
+
+    translate_lines = experiment.translate_lines
+    monkeypatch.setattr(experiment, "translate_lines", crash_on_second_chunk)
+    monkeypatch.setattr(experiment, "sources_per_chunk", two_per_chunk)
     assert main(["translate",
                  "--checkpoint", str(out / "aa-bb" / "mtl" / "checkpoint.npz"),
                  "--vocab", str(out / "vocab.txt"),
                  "--input", str(src), "--output", str(dst)]) == 1
     assert "decoder crashed" in capsys.readouterr().err
-    assert decoded == ["ka1 ka2", "ka3"]
+    assert decoded == [["ka1 ka2", "ka3"], ["ka4"]]
     assert dst.read_text() == "an earlier translation\n"
     assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 

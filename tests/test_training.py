@@ -310,6 +310,33 @@ def test_adam_state_survives_checkpoint_and_continues_bit_identically(tmp_path):
             assert np.array_equal(a[name], b[name]), (field_name, name)
 
 
+def test_a_baseline_resumes_under_another_multitask_setting(tmp_path):
+    vocab, data = toy_data()
+    oc = OptimizerConfig(lr=1e-3)
+
+    def config(steps, **multitask_only):
+        return TrainConfig(steps=steps, batch_size=4, log_interval=100, seed=5, **multitask_only)
+
+    for steps, name, resume_from, weight in ((4, "full", None, 1.0), (2, "mid", None, 1.0),
+                                             (4, "resumed", tmp_path / "mid.npz", 0.3)):
+        train_loop(tiny_model(vocab, multitask=False, seed=2), data,
+                   config(steps, clm_loss_weight=weight), oc,
+                   checkpoint_path=tmp_path / f"{name}.npz", resume_from=resume_from)
+    full, resumed = (load_checkpoint(tmp_path / f"{name}.npz") for name in ("full", "resumed"))
+    assert full.fingerprint == resumed.fingerprint
+    for field_name in ("params", "adam_m", "adam_v"):
+        a, b = getattr(full, field_name), getattr(resumed, field_name)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.array_equal(a[name], b[name]), (field_name, name)
+
+    # a multitask model reads the weight, so its checkpoint still refuses a change
+    train_loop(tiny_model(vocab, seed=2), data, config(2), oc, checkpoint_path=tmp_path / "mtl.npz")
+    with pytest.raises(TrainingError, match="fingerprint mismatch"):
+        train_loop(tiny_model(vocab, seed=2), data, config(4, clm_loss_weight=0.3), oc,
+                   resume_from=tmp_path / "mtl.npz")
+
+
 def test_an_absent_grad_updates_as_a_zero_gradient():
     def run(missing):
         """Three steps in which "b" has a gradient in the first step only and
