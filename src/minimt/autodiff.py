@@ -337,18 +337,17 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
     """Multi-head ``softmax(q kᵀ / √d_head + mask) v`` as one graph node.
 
-    ``q`` is (B, S, d); ``k`` and ``v`` are (B, T, d), or (1, T, d) to be
-    shared by every query row. Each is split into ``n_heads`` heads of width
-    ``d_head = d / n_heads`` as views. ``mask`` is an additive array that
-    broadcasts to the (B, heads, S, T) scores. Returns the heads' contexts
-    merged back to (B, S, d). The scores are scaled, masked and normalized in
-    place, so the attention weights are the only (B, heads, S, T) array the
-    node keeps for backward.
+    ``q`` is (B, S, d); ``k`` and ``v`` are (B, T, d). Each is split into
+    ``n_heads`` heads of width ``d_head = d / n_heads`` as views. ``mask`` is
+    an additive array that broadcasts to the (B, heads, S, T) scores. Returns
+    the heads' contexts merged back to (B, S, d). The scores are scaled,
+    masked and normalized in place, so the attention weights are the only
+    (B, heads, S, T) array the node keeps for backward.
     """
     d = q.data.shape[-1]
     if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape \
-            or k.data.shape[0] not in (1, q.data.shape[0]) or k.data.shape[2] != d or d % n_heads:
-        raise ShapeError(f"attention needs (B, S, d) queries and matching (B or 1, T, d) keys "
+            or k.data.shape[0] != q.data.shape[0] or k.data.shape[2] != d or d % n_heads:
+        raise ShapeError(f"attention needs (B, S, d) queries and matching (B, T, d) keys "
                          f"and values with d divisible by {n_heads} heads, got shapes "
                          f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
     d_head = d // n_heads
@@ -375,7 +374,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     def backward_fn(g):
         gh = heads(g)
         if v.requires_grad:
-            _accumulate(v, _unbroadcast(merge(w.swapaxes(-1, -2) @ gh), v.data.shape))
+            _accumulate(v, merge(w.swapaxes(-1, -2) @ gh))
         dw = gh @ vh.swapaxes(-1, -2)  # the weights' gradient, turned in place into the scores'
         dot = (dw * w).sum(axis=-1, keepdims=True)
         dw -= dot
@@ -385,7 +384,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
             _accumulate(q, merge(dw @ kh))
         if k.requires_grad:
             dkt = qh.swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
-            _accumulate(k, _unbroadcast(merge(dkt.swapaxes(-1, -2)), k.data.shape))
+            _accumulate(k, merge(dkt.swapaxes(-1, -2)))
 
     return _make(out_data, (q, k, v), backward_fn)
 

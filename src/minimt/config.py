@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from minimt.data import Vocabulary, write_text_atomically
+from minimt.data import SplitConfig, Vocabulary, write_text_atomically
 from minimt.decoding import DecodeConfig
 from minimt.evaluation import check_bleu_settings
 from minimt.model import ModelConfig
@@ -152,6 +152,13 @@ class ExperimentConfig:
             check_bleu_settings(self.evaluation.max_n, self.evaluation.smoothing_k)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"config.evaluation: {e}") from None
+        for name in ("parallel_split", "mono_split"):
+            sizes = getattr(self.data, name)
+            try:
+                SplitConfig(*sizes, seed=self.seed)  # as prepare builds it, so 4 sizes fail too
+            except (TypeError, ValueError):
+                raise ConfigError(f"config.data: {name} must be three integers >= 0 "
+                                  f"(train, validation, test), got {sizes!r}") from None
         # build each runtime config once, with placeholders for the values
         # the runner derives, so a bad value fails here and not mid-experiment
         checks = [("model", ModelConfig, {"vocab_size": 1}), ("train", TrainConfig, {}),

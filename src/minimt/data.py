@@ -151,9 +151,10 @@ class SplitConfig:
     test: int
     seed: int = 0
 
-    @property
-    def total(self):
-        return self.train + self.validation + self.test
+    def __post_init__(self):
+        sizes = list(self.sizes().values())
+        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in sizes):
+            raise ValueError(f"split sizes must be integers >= 0, got {sizes}")
 
     def sizes(self):
         return {"train": self.train, "validation": self.validation, "test": self.test}
@@ -161,9 +162,10 @@ class SplitConfig:
 
 def split_indices(n_lines: int, config: SplitConfig) -> dict[str, list[int]]:
     """Sample disjoint, exactly-sized line-index splits; deterministic in the seed."""
-    if config.total > n_lines:
+    total = sum(config.sizes().values())
+    if total > n_lines:
         raise CorpusError(
-            f"requested splits of total size {config.total} but the corpus has only {n_lines} lines"
+            f"requested splits of total size {total} but the corpus has only {n_lines} lines"
         )
     perm = np.random.default_rng(config.seed).permutation(n_lines)
     out, offset = {}, 0
@@ -320,7 +322,10 @@ class MonoBatch:
 
 def token_budget(max_len: int) -> int:
     """How many of a sentence's tokens fit in ``max_len`` positions once
-    framed: the language tag and EOS take the other two."""
+    framed: the language tag and EOS take the other two. A ``max_len``
+    without room for one token is a ValueError."""
+    if not max_len >= 3:
+        raise ValueError(f"max_len must be >= 3 (a language tag, one token and EOS), got {max_len}")
     return max_len - 2
 
 

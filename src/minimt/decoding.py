@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from minimt.autodiff import no_grad
-from minimt.data import TokenSequence, pad_rows
+from minimt.data import pad_rows
 from minimt.model import DecoderCache
 
 
@@ -198,7 +198,6 @@ def _batch_stepper(model, sources, config: DecodeConfig):
     through the same code, so prefixes may come in any order.
     """
     src, src_mask = pad_rows(sources, config.eos_id)  # PAD keys are masked: any id pads
-    shared = len(sources) == 1  # every row cross-attends to the one encoder row
     decoder = model.decoder
     with no_grad():
         empty = DecoderCache(decoder, model.encode_source(src, src_mask))
@@ -206,14 +205,14 @@ def _batch_stepper(model, sources, config: DecodeConfig):
 
     def step(row_sources, prefixes):
         nonlocal kept_rows, kept
-        keys = list(zip(np.asarray(row_sources).tolist(), (tuple(p) for p in prefixes)))
+        cross_rows = np.asarray(row_sources)
+        keys = list(zip(cross_rows.tolist(), (tuple(p) for p in prefixes)))
         n = len(keys[0][1])
         if any(len(p) != n for _, p in keys):
             raise ValueError("prefixes in one call must share a length")
         framed = np.array([(config.start_id,) + p for _, p in keys], dtype=np.int64)
         parents = [(s, p[:-1]) for s, p in keys]
-        cross_rows = None if shared else np.asarray(row_sources)
-        row_mask = src_mask if shared else src_mask[cross_rows]
+        row_mask = src_mask[cross_rows]
         with no_grad():
             if n and all(q in kept_rows for q in parents):
                 cache = kept.select(np.array([kept_rows[q] for q in parents]), cross_rows)
@@ -231,10 +230,6 @@ def _batch_stepper(model, sources, config: DecodeConfig):
     return step
 
 
-def _source_ids(source):
-    return source.ids if isinstance(source, TokenSequence) else list(source)
-
-
 def greedy_decode(model, source, config: DecodeConfig) -> Hypothesis:
     """``beam_search`` with a beam of one."""
     return beam_search(model, source, replace(config, beam_size=1))[0]
@@ -243,7 +238,7 @@ def greedy_decode(model, source, config: DecodeConfig) -> Hypothesis:
 def beam_search(model, source, config: DecodeConfig) -> list:
     """Ranked completed hypotheses for one framed source row."""
     with model.eval_mode():
-        return search(_translation_stepper(model, _source_ids(source), config), config)
+        return search(_translation_stepper(model, source, config), config)
 
 
 def beam_search_batch(model, sources, config: DecodeConfig) -> list:
@@ -252,8 +247,7 @@ def beam_search_batch(model, sources, config: DecodeConfig) -> list:
     if not sources:
         return []
     with model.eval_mode():
-        ids = [_source_ids(s) for s in sources]
-        return search_batch(_batch_stepper(model, ids, config), len(ids), config)
+        return search_batch(_batch_stepper(model, sources, config), len(sources), config)
 
 
 # Bytes of decoder keys and values that one chunk of sources may hold. An

@@ -2,8 +2,9 @@
 baseline-vs-multitask comparison report.
 
 Scores are kept in [0, 1]; the conventional x100 presentation happens only
-at rendering. Single reference per hypothesis; corpus scores micro-average
-the clipped counts before smoothing once.
+at rendering. Single reference per hypothesis. Every score is ``_score`` of
+the additive per-pair statistic from ``ngram_precisions``: one pair's, a
+corpus's sum (smoothing fires once, on the totals) or, for macro, each's.
 """
 
 from __future__ import annotations
@@ -19,14 +20,23 @@ class EvaluationError(ValueError):
 
 @dataclass
 class NgramPrecisionSet:
-    """Clipped matched counts and hypothesis counts for n = 1..max_n."""
+    """The BLEU statistic of one (hypothesis, reference) pair, or the sum of
+    several: clipped matched counts and hypothesis n-gram counts for
+    n = 1..max_n, and the hypothesis and reference lengths."""
 
     numerators: list
     denominators: list
+    hyp_len: int
+    ref_len: int
+
+    def __add__(self, other: NgramPrecisionSet) -> NgramPrecisionSet:
+        return NgramPrecisionSet([a + b for a, b in zip(self.numerators, other.numerators)],
+                                 [a + b for a, b in zip(self.denominators, other.denominators)],
+                                 self.hyp_len + other.hyp_len, self.ref_len + other.ref_len)
 
     @property
     def empty_hypothesis(self) -> bool:
-        return self.denominators[0] == 0
+        return self.hyp_len == 0
 
 
 @dataclass
@@ -60,9 +70,11 @@ def _ngram_counts(tokens, n):
 
 
 def ngram_precisions(hypothesis, reference, max_n: int = 4) -> NgramPrecisionSet:
-    """Clipped n-gram precision counts: each hypothesis n-gram matches at
-    most as many times as it occurs in the reference."""
+    """One pair's statistic. Each hypothesis n-gram matches at most as many
+    times as it occurs in the reference, which must be non-empty."""
     hypothesis, reference = list(hypothesis), list(reference)
+    if not reference:
+        raise EvaluationError("reference must be non-empty")
     numerators, denominators = [], []
     for n in range(1, max_n + 1):
         hyp_counts = _ngram_counts(hypothesis, n)
@@ -70,25 +82,23 @@ def ngram_precisions(hypothesis, reference, max_n: int = 4) -> NgramPrecisionSet
         clipped = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
         numerators.append(clipped)
         denominators.append(max(0, len(hypothesis) - n + 1))
-    return NgramPrecisionSet(numerators, denominators)
+    return NgramPrecisionSet(numerators, denominators, len(hypothesis), len(reference))
 
 
-def smooth_method4(precisions: NgramPrecisionSet, hyp_len: int, k: float = 5) -> list:
+def smooth_method4(stats: NgramPrecisionSet, k: float = 5) -> list:
     """Replace zero numerators with ln(hyp_len)/(2^c k) over the denominator,
     c counting up from 1 per zero order; nonzero orders pass through.
 
     A zero-denominator order (hypothesis shorter than n) uses denominator 1,
     matching the reference scorer's clamp. With hyp_len <= 1 zeros stay zero
-    and the caller reports bleu = 0.
+    and the score is 0.
     """
-    if hyp_len < 0:
-        raise EvaluationError(f"hyp_len must be >= 0, got {hyp_len}")
     out = []
     c = 1
-    for num, den in zip(precisions.numerators, precisions.denominators):
+    for num, den in zip(stats.numerators, stats.denominators):
         effective_den = max(1, den)
-        if num == 0 and hyp_len > 1:
-            out.append((math.log(hyp_len) / (2 ** c * k)) / effective_den)
+        if num == 0 and stats.hyp_len > 1:
+            out.append((math.log(stats.hyp_len) / (2 ** c * k)) / effective_den)
             c += 1
         else:
             out.append(num / effective_den)
@@ -103,59 +113,44 @@ def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / hyp_len)
 
 
-def _assemble(counts: NgramPrecisionSet, hyp_len: int, ref_len: int, max_n: int, k: float,
-              note: str = "") -> BleuReport:
-    smoothed = smooth_method4(counts, hyp_len, k)
-    bp = _brevity_penalty(hyp_len, ref_len)
-    if hyp_len == 0:
-        return BleuReport(0.0, list(zip(counts.numerators, counts.denominators)), smoothed,
-                          bp, hyp_len, ref_len, note="empty hypothesis")
-    if any(p == 0 for p in smoothed):
-        bleu = 0.0
-        note = note or "zero precision survived smoothing"
+def _score(stats: NgramPrecisionSet, k: float) -> BleuReport:
+    """The geometric mean of the smoothed precisions times the brevity penalty."""
+    smoothed = smooth_method4(stats, k)
+    bp = _brevity_penalty(stats.hyp_len, stats.ref_len)
+    bleu, note = 0.0, ""
+    if stats.empty_hypothesis:
+        note = "empty hypothesis"
+    elif any(p == 0 for p in smoothed):
+        note = "zero precision survived smoothing"
     else:
-        bleu = bp * math.exp(math.fsum(math.log(p) for p in smoothed) / max_n)
-    return BleuReport(bleu, list(zip(counts.numerators, counts.denominators)), smoothed,
-                      bp, hyp_len, ref_len, note=note)
+        bleu = bp * math.exp(math.fsum(math.log(p) for p in smoothed) / len(smoothed))
+    return BleuReport(bleu, list(zip(stats.numerators, stats.denominators)), smoothed,
+                      bp, stats.hyp_len, stats.ref_len, note=note)
 
 
 def sentence_bleu(hypothesis, reference, max_n: int = 4, k: float = 5) -> BleuReport:
-    """Geometric mean of the smoothed precisions times the brevity penalty."""
+    """The score of one pair's statistic."""
     check_bleu_settings(max_n, k)
-    if not list(reference):
-        raise EvaluationError("reference must be non-empty")
-    counts = ngram_precisions(hypothesis, reference, max_n)
-    return _assemble(counts, len(list(hypothesis)), len(list(reference)), max_n, k)
+    return _score(ngram_precisions(hypothesis, reference, max_n), k)
 
 
 def corpus_bleu(pairs, max_n: int = 4, k: float = 5, macro: bool = False) -> BleuReport:
     """Corpus score over (hypothesis, reference) pairs.
 
-    Micro-averaged by default: counts and lengths are summed over the corpus
-    and smoothing fires once on the totals. ``macro=True`` instead averages
-    per-sentence scores, as a diagnostic.
+    Micro-averaged by default: the score of the sum of the pairs'
+    statistics, so smoothing fires once on the totals. ``macro=True``
+    instead averages the per-pair scores, as a diagnostic.
     """
     check_bleu_settings(max_n, k)
-    pairs = list(pairs)
-    if not pairs:
+    stats = [ngram_precisions(h, r, max_n) for h, r in pairs]
+    if not stats:
         raise EvaluationError("corpus_bleu needs at least one pair")
+    total = sum(stats[1:], stats[0])
     if macro:
-        reports = [sentence_bleu(h, r, max_n, k) for h, r in pairs]
-        mean = sum(r.bleu for r in reports) / len(reports)
-        return BleuReport(mean, [], [], 0.0, sum(r.hyp_len for r in reports),
-                          sum(r.ref_len for r in reports), note="macro average of sentence scores")
-    totals = NgramPrecisionSet([0] * max_n, [0] * max_n)
-    hyp_len = ref_len = 0
-    for hyp, ref in pairs:
-        if not list(ref):
-            raise EvaluationError("reference must be non-empty")
-        counts = ngram_precisions(hyp, ref, max_n)
-        for i in range(max_n):
-            totals.numerators[i] += counts.numerators[i]
-            totals.denominators[i] += counts.denominators[i]
-        hyp_len += len(list(hyp))
-        ref_len += len(list(ref))
-    return _assemble(totals, hyp_len, ref_len, max_n, k)
+        mean = sum(_score(s, k).bleu for s in stats) / len(stats)
+        return BleuReport(mean, [], [], 0.0, total.hyp_len, total.ref_len,
+                          note="macro average of sentence scores")
+    return _score(total, k)
 
 
 @dataclass

@@ -466,7 +466,3 @@ def make_preset(name: str, out_dir, seed: int = 0) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown preset {name!r}; choose smoke, desk or paper-faithful")
     return config_from_dict(payload)
-
-
-def run_experiment(config: ExperimentConfig) -> ComparisonReport:
-    return ExperimentRunner(config).run()

@@ -23,7 +23,7 @@ import numpy as np
 
 from minimt import autodiff as ad
 from minimt.autodiff import ShapeError, Tensor
-from minimt.data import ParallelBatch, stack_padded
+from minimt.data import ParallelBatch, stack_padded, token_budget
 
 
 @dataclass
@@ -40,8 +40,9 @@ class ModelConfig:
     tie_projections: bool = True
 
     def __post_init__(self):
-        if min(self.vocab_size, self.d_model, self.n_heads, self.d_ff, self.max_len) < 1:
-            raise ValueError("vocab_size, d_model, n_heads, d_ff and max_len must all be >= 1")
+        if min(self.vocab_size, self.d_model, self.n_heads, self.d_ff) < 1:
+            raise ValueError("vocab_size, d_model, n_heads and d_ff must all be >= 1")
+        token_budget(self.max_len)  # raises unless a framed sentence fits a token
         if self.n_enc_layers < 0 or self.n_dec_layers < 0:
             raise ValueError("layer counts must be >= 0")
         if self.d_model % self.n_heads != 0:
@@ -160,8 +161,8 @@ class MultiHeadAttention:
         return ad.linear(x, self.wk, self.bk), ad.linear(x, self.wv, self.bv)
 
     def attend(self, queries, k, v, additive_mask):
-        """Attention of ``queries`` over projected keys and values; a batch
-        of one in ``k`` and ``v`` broadcasts over the queries' batch."""
+        """Attention of ``queries`` over projected keys and values, one row
+        of ``k`` and ``v`` per query row."""
         ctx = ad.attention(ad.linear(queries, self.wq, self.bq), k, v, self.n_heads, additive_mask)
         return ad.linear(ctx, self.wo, self.bo)
 
@@ -236,7 +237,7 @@ class DecoderCache:
 
     ``sources`` holds the encoder row that each decoder row cross-attends
     to, and ``cross`` those rows' keys and values. While it is None, the
-    decoder rows are the encoder rows themselves, or share its one row."""
+    decoder rows are the encoder rows themselves."""
 
     def __init__(self, decoder, enc_states):
         self.by_source = [layer.cross_attn.keys_values(enc_states) for layer in decoder.layers]
@@ -244,14 +245,14 @@ class DecoderCache:
         self.past = [None] * len(decoder.layers)
         self.length = 0
 
-    def select(self, rows, sources=None):
+    def select(self, rows, sources):
         """A new cache whose self-attention rows are these rows of this one
         (an index array; rows may repeat) and whose row i cross-attends to
-        encoder row ``sources[i]`` (None: the cross-attention part is shared)."""
+        encoder row ``sources[i]``."""
         out = copy.copy(self)
         out.past = [None if kv is None else tuple(Tensor(t.data[rows]) for t in kv)
                     for kv in self.past]
-        if sources is not None and not np.array_equal(sources, self.sources):
+        if not np.array_equal(sources, self.sources):
             out.sources = sources
             out.cross = [tuple(Tensor(t.data[sources]) for t in kv) for kv in self.by_source]
         return out

@@ -46,6 +46,7 @@ from minimt.data import (
     Vocabulary,
     make_batches,
     stack_padded,
+    token_budget,
     write_atomically,
 )
 from minimt.model import FreezeSpec, apply_freeze
@@ -102,6 +103,7 @@ class TrainConfig:
             raise ValueError(f"clm_loss_weight must be finite and >= 0, got {self.clm_loss_weight}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
+        token_budget(self.max_len)  # raises unless a framed sentence fits a token
 
     @property
     def effective_clm_batch_size(self):

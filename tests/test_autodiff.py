@@ -519,27 +519,26 @@ def _causal_mask(s, t):
     return (np.triu(np.ones((s, t)), k=t - s + 1) * -1e9)[None, None]
 
 
-# (batch, kv batch, S, T, d_model, heads, mask); the causal case has T == d_head,
-# so a key gradient left in kᵀ's layout would still have the right shape
+# (batch, S, T, d_model, heads, mask); the causal case has T == d_head, so a
+# key gradient left in kᵀ's layout would still have the right shape
 ATTENTION_CASES = {
-    "causal": (2, 2, 4, 4, 8, 2, _causal_mask(4, 4)),
-    "causal_after_cache": (2, 2, 2, 5, 8, 2, _causal_mask(2, 5)),
-    "padding": (3, 3, 5, 5, 6, 3, _padding_mask([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
-                                                  [1, 1, 0, 0, 0]])),
-    "no_mask": (2, 2, 3, 3, 8, 2, None),
-    "cross_s_ne_t": (2, 2, 3, 5, 8, 4, _padding_mask([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]])),
-    "shared_kv_batch_of_one": (3, 1, 2, 4, 8, 2, _padding_mask([[1, 1, 1, 0]])),
+    "causal": (2, 4, 4, 8, 2, _causal_mask(4, 4)),
+    "causal_after_cache": (2, 2, 5, 8, 2, _causal_mask(2, 5)),
+    "padding": (3, 5, 5, 6, 3, _padding_mask([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
+                                               [1, 1, 0, 0, 0]])),
+    "no_mask": (2, 3, 3, 8, 2, None),
+    "cross_s_ne_t": (2, 3, 5, 8, 4, _padding_mask([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]])),
 }
 
 
 def _attention_inputs(case, seed):
-    b, bk, s, t, d, _, _ = ATTENTION_CASES[case]
-    return [rand((b, s, d), seed), rand((bk, t, d), seed + 1), rand((bk, t, d), seed + 2)]
+    b, s, t, d, _, _ = ATTENTION_CASES[case]
+    return [rand((b, s, d), seed), rand((b, t, d), seed + 1), rand((b, t, d), seed + 2)]
 
 
 @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
 def test_attention_matches_composed_ops(case):
-    _, _, _, _, _, n_heads, mask = ATTENTION_CASES[case]
+    *_, n_heads, mask = ATTENTION_CASES[case]
     inputs = _attention_inputs(case, 80)
     weights = rand(inputs[0].shape, 83, requires_grad=False)
     fast, fast_grads = _grads_of(lambda q, k, v: ad.attention(q, k, v, n_heads, mask),
@@ -553,7 +552,7 @@ def test_attention_matches_composed_ops(case):
 
 @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
 def test_attention_gradient(case):
-    _, _, _, _, _, n_heads, mask = ATTENTION_CASES[case]
+    *_, n_heads, mask = ATTENTION_CASES[case]
     report = grad_check(scalarize(lambda q, k, v: ad.attention(q, k, v, n_heads, mask)),
                         _attention_inputs(case, 84), tolerance=1e-6)
     assert report.passed, f"{case}: {report}"
@@ -561,7 +560,7 @@ def test_attention_gradient(case):
 
 @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
 def test_attention_leaves_inputs_and_incoming_gradient_alone(case):
-    _, _, _, _, _, n_heads, mask = ATTENTION_CASES[case]
+    *_, n_heads, mask = ATTENTION_CASES[case]
     inputs = _attention_inputs(case, 87)
     before = [t.data.copy() for t in inputs]
     out = ad.attention(*inputs, n_heads, mask)
@@ -590,5 +589,7 @@ def test_attention_shape_errors():
         ad.attention(rand((2, 3, 6), 0), rand((2, 4, 6), 1), rand((2, 4, 6), 2), 4)
     with pytest.raises(ShapeError):
         ad.attention(rand((2, 3, 4), 0), rand((3, 4, 4), 1), rand((3, 4, 4), 2), 2)
+    with pytest.raises(ShapeError):  # keys and values are per query row, never shared
+        ad.attention(rand((2, 3, 4), 0), rand((1, 4, 4), 1), rand((1, 4, 4), 2), 2)
     with pytest.raises(ShapeError):
         ad.attention(rand((2, 3, 4), 0), rand((2, 4, 4), 1), rand((2, 5, 4), 2), 2)

@@ -75,6 +75,11 @@ def test_config_rejects_unknown_keys():
     ({"evaluation": {"smoothing_k": 0}}, "evaluation"),
     ({"train": {"freeze": "all"}}, "train"),
     ({"evaluation": {"aggregate": "mean"}}, "evaluation"),
+    ({"data": {"parallel_split": [-5, 10, 10]}}, "data"),
+    ({"data": {"mono_split": [1.5, 0]}}, "data"),
+    ({"data": {"parallel_split": [80, 10, 10, 3]}}, "data"),
+    ({"model": {"max_len": 2}}, "model"),
+    ({"model": {"max_len": 1}}, "model"),
 ])
 def test_config_rejects_bad_values(payload, section):
     with pytest.raises(ConfigError, match=rf"^config\.{section}: ") as err:

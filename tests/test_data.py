@@ -207,6 +207,12 @@ def test_load_monolingual_empty_file(tmp_path, vocab):
         load_monolingual(empty, SplitConfig(0, 0, 0), vocab, "xx")
 
 
+@pytest.mark.parametrize("sizes", [(-5, 10, 10), (10, -1, 0), (1.5, 0, 0), (10, 0, 2.0)])
+def test_split_sizes_must_be_non_negative_integers(sizes):
+    with pytest.raises(ValueError, match="split sizes"):
+        SplitConfig(*sizes)
+
+
 def test_no_line_shared_between_splits(tmp_path, vocab):
     lines = [f"a b c {i}" for i in range(40)]
     src = write(tmp_path, "s.xx", lines)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from minimt.evaluation import (
     EvaluationError,
+    NgramPrecisionSet,
     compare_report,
     corpus_bleu,
     ngram_precisions,
@@ -82,17 +83,47 @@ def test_empty_hypothesis_flagged():
     assert p.denominators == [0, 0, 0, 0]
 
 
+def test_statistic_carries_both_lengths():
+    p = ngram_precisions("a b x".split(), "a b c d e".split())
+    assert (p.hyp_len, p.ref_len) == (3, 5)
+
+
+def test_empty_reference_rejected_by_the_statistic():
+    with pytest.raises(EvaluationError, match="reference"):
+        ngram_precisions("a".split(), [])
+
+
+PAIR_LISTS = st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=8),
+                                st.lists(st.integers(0, 5), min_size=1, max_size=8)),
+                      min_size=1, max_size=8)
+
+
+@settings(max_examples=60)
+@given(PAIR_LISTS, st.data())
+def test_statistics_of_a_partition_sum_to_the_whole(pairs, data):
+    groups = data.draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    stats = [ngram_precisions(h, r) for h, r in pairs]
+    whole = sum(stats[1:], stats[0])
+    parts = [[s for s, g in zip(stats, groups) if g == i] for i in range(3)]
+    part_sums = [sum(p[1:], p[0]) for p in parts if p]
+    assert sum(part_sums[1:], part_sums[0]) == whole
+    assert whole == NgramPrecisionSet(
+        [sum(s.numerators[i] for s in stats) for i in range(4)],
+        [sum(s.denominators[i] for s in stats) for i in range(4)],
+        sum(len(h) for h, _ in pairs), sum(len(r) for _, r in pairs))
+
+
 # --- smoothing method 4 --------------------------------------------------------
 
 def test_smoothing_passthrough_when_no_zeros():
     p = ngram_precisions("a b c d e".split(), "a b c d e".split())
-    smoothed = smooth_method4(p, hyp_len=5)
+    smoothed = smooth_method4(p)
     assert smoothed == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_smoothing_fixture_values():
     p = ngram_precisions("a b x y".split(), "a b c d".split())
-    smoothed = smooth_method4(p, hyp_len=4, k=5)
+    smoothed = smooth_method4(p, k=5)
     assert smoothed[0] == pytest.approx(0.5)
     assert smoothed[1] == pytest.approx(1 / 3)
     # first zero order: (ln 4 / (2 * 5)) / 2; second: (ln 4 / (4 * 5)) / 1
@@ -104,7 +135,7 @@ def test_smoothing_fixture_values():
 
 def test_smoothing_counter_increments_per_zero_order():
     p = ngram_precisions("a b c".split(), "x y z".split())
-    smoothed = smooth_method4(p, hyp_len=3, k=5)
+    smoothed = smooth_method4(p, k=5)
     ln3 = math.log(3)
     assert smoothed[0] == pytest.approx(ln3 / (2 * 5) / 3)
     assert smoothed[1] == pytest.approx(ln3 / (4 * 5) / 2)
@@ -114,7 +145,7 @@ def test_smoothing_counter_increments_per_zero_order():
 
 def test_smoothing_stays_zero_for_single_token_hypothesis():
     p = ngram_precisions(["q"], "a b".split())
-    assert smooth_method4(p, hyp_len=1) == [0.0, 0.0, 0.0, 0.0]
+    assert smooth_method4(p) == [0.0, 0.0, 0.0, 0.0]
 
 
 # --- sentence_bleu --------------------------------------------------------------
@@ -163,6 +194,18 @@ def test_bleu_rejects_settings_it_would_divide_by(max_n, k, setting):
             corpus_bleu([pair], max_n=max_n, k=k, macro=macro)
 
 
+def test_iterator_inputs_score_as_lists():
+    toks = "w x y z q".split()
+    expected = sentence_bleu(toks, toks)
+    assert expected.bleu == 1.0
+    for hyp, ref in ((iter(toks), toks), (toks, iter(toks)), (iter(toks), iter(toks))):
+        assert sentence_bleu(hyp, ref) == expected
+    pairs = [(h.split(), r.split()) for h, r in FIXTURE_PAIRS]
+    for macro in (False, True):
+        assert corpus_bleu(((iter(h), iter(r)) for h, r in pairs), macro=macro) \
+            == corpus_bleu(pairs, macro=macro)
+
+
 def test_single_token_no_match_is_zero():
     report = sentence_bleu(["q"], ["a"])
     assert report.bleu == 0.0
@@ -199,6 +242,13 @@ def test_single_pair_corpus_equals_sentence_bleu_when_unsmoothed():
     # raw precisions always agree even when smoothing would fire
     hyp2 = "a b x y".split()
     assert corpus_bleu([(hyp2, ref)]).raw_precisions == sentence_bleu(hyp2, ref).raw_precisions
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 5), max_size=8), st.lists(st.integers(0, 5), min_size=1, max_size=8),
+       st.integers(1, 4), st.sampled_from([0.5, 5.0]))
+def test_single_pair_corpus_is_sentence_bleu_bit_for_bit(hyp, ref, max_n, k):
+    assert corpus_bleu([(hyp, ref)], max_n, k) == sentence_bleu(hyp, ref, max_n, k)
 
 
 def test_two_perfect_pairs():

@@ -132,6 +132,13 @@ def test_invalid_dropout():
         tiny_config(dropout_rate=1.0)
 
 
+@pytest.mark.parametrize("max_len", [2, 1, 0])
+def test_max_len_leaves_room_for_tag_token_and_eos(max_len):
+    with pytest.raises(ValueError, match="max_len must be >= 3"):
+        tiny_config(max_len=max_len)
+    tiny_config(max_len=3)
+
+
 # --- encoder ------------------------------------------------------------------
 
 def test_encoder_output_shape():

@@ -425,6 +425,12 @@ def test_a_non_finite_gradient_with_clipping_on_raises_and_changes_nothing():
     assert opt.t == 1
 
 
+@pytest.mark.parametrize("max_len", [2, 1])
+def test_train_config_rejects_max_len_without_room_for_a_token(max_len):
+    with pytest.raises(ValueError, match="max_len must be >= 3"):
+        TrainConfig(steps=1, max_len=max_len)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(lr=0.0)
