@@ -7,6 +7,7 @@ nonzero with a stage-named diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ logger = logging.getLogger(__name__)
 def _load_experiment_config(args):
     config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)  # checked as the file's seed is
     if getattr(args, "out_dir", None) is not None:
         config.out_dir = str(args.out_dir)
     return config

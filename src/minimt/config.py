@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from minimt.data import SplitConfig, Vocabulary, write_text_atomically
+from minimt.data import TOKENIZE_MODES, SplitConfig, Vocabulary, write_text_atomically
 from minimt.decoding import DecodeConfig
 from minimt.evaluation import check_bleu_settings
 from minimt.model import ModelConfig
@@ -135,6 +135,12 @@ class ExperimentConfig:
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"config.seed: must be an integer >= 0, got {self.seed!r}")
+        if not (isinstance(self.directions, list)
+                and all(isinstance(d, str) for d in self.directions)):
+            raise ConfigError(f"config.directions: must be a list of '<src>-><tgt>' strings, "
+                              f"got {self.directions!r}")
         if not self.directions:
             self.directions = [f"{self.data.src_lang}->{self.data.tgt_lang}"]
         langs = {self.data.src_lang, self.data.tgt_lang}
@@ -152,13 +158,24 @@ class ExperimentConfig:
             check_bleu_settings(self.evaluation.max_n, self.evaluation.smoothing_k)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"config.evaluation: {e}") from None
+        data = self.data
+        if data.tokenize_mode not in TOKENIZE_MODES:
+            raise ConfigError(f"config.data: tokenize_mode must be one of {list(TOKENIZE_MODES)}, "
+                              f"got {data.tokenize_mode!r}")
         for name in ("parallel_split", "mono_split"):
-            sizes = getattr(self.data, name)
+            sizes = getattr(data, name)
             try:
                 SplitConfig(*sizes, seed=self.seed)  # as prepare builds it, so 4 sizes fail too
             except (TypeError, ValueError):
                 raise ConfigError(f"config.data: {name} must be three integers >= 0 "
                                   f"(train, validation, test), got {sizes!r}") from None
+        # training reads a train split and evaluation a test split; validation may stay empty
+        if not (data.parallel_split[0] and data.parallel_split[2]):
+            raise ConfigError(f"config.data: parallel_split needs train and test sizes > 0, "
+                              f"got {data.parallel_split!r}")
+        if data.mono_files and not data.mono_split[0]:
+            raise ConfigError(f"config.data: mono_split needs a train size > 0 when mono_files "
+                              f"names a corpus, got {data.mono_split!r}")
         # build each runtime config once, with placeholders for the values
         # the runner derives, so a bad value fails here and not mid-experiment
         checks = [("model", ModelConfig, {"vocab_size": 1}), ("train", TrainConfig, {}),
@@ -177,12 +194,21 @@ class ExperimentConfig:
     def save(self, path) -> None:
         write_json(path, self.to_dict())
 
-    def validate_files(self) -> None:
-        paths = [self.data.parallel_src_file, self.data.parallel_tgt_file,
-                 *self.data.mono_files.values()]
-        missing = [p for p in paths if p and not Path(p).exists()]
+    def corpus_files(self) -> list[str]:
+        """The corpus paths the config names: the parallel source and target,
+        then the monolingual files by language. An empty or missing path is
+        a ConfigError."""
+        data = self.data
+        named = {"parallel_src_file": data.parallel_src_file,
+                 "parallel_tgt_file": data.parallel_tgt_file,
+                 **{f"mono_files.{lang}": data.mono_files[lang] for lang in sorted(data.mono_files)}}
+        unset = [key for key, path in named.items() if not path]
+        if unset:
+            raise ConfigError(f"config.data: no corpus path given for {unset}")
+        missing = [path for path in named.values() if not Path(path).exists()]
         if missing:
             raise ConfigError(f"referenced corpus files do not exist: {missing}")
+        return list(named.values())
 
     @property
     def languages(self):

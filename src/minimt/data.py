@@ -1,4 +1,4 @@
-"""Vocabulary, corpus loading/splitting and deterministic batching.
+"""Vocabulary, corpus reading/splitting and deterministic batching.
 
 File conventions: plain text, one sentence per line, UTF-8; parallel files
 aligned by line number. The vocabulary persists as one token per line with
@@ -19,6 +19,7 @@ logger = logging.getLogger(__name__)
 
 PAD, BOS, EOS, UNK = "<pad>", "<s>", "</s>", "<unk>"
 _LANG_FMT = "<lang:{}>"
+TOKENIZE_MODES = ("word", "char")
 
 
 class CorpusError(ValueError):
@@ -30,11 +31,9 @@ class VocabularyError(ValueError):
 
 
 def tokenize(text: str, mode: str = "word") -> list[str]:
-    if mode == "word":
-        return text.split()
-    if mode == "char":
-        return list(text)
-    raise VocabularyError(f"unknown tokenization mode {mode!r}")
+    if mode not in TOKENIZE_MODES:
+        raise VocabularyError(f"unknown tokenization mode {mode!r}")
+    return text.split() if mode == "word" else list(text)
 
 
 class Vocabulary:
@@ -235,47 +234,6 @@ def read_corpus(path) -> list[str]:
         if not line.strip():
             raise CorpusError(f"{path}:{number}: blank line")
     return lines
-
-
-def load_parallel(source_file, target_file, config: SplitConfig, vocabulary: Vocabulary,
-                  source_language: str, target_language: str,
-                  indices: dict | None = None) -> ParallelCorpus:
-    """Pair two line-aligned files, sample a subset and split it.
-
-    ``indices`` (as produced by ``split_indices``) overrides the sampling so
-    separate runs can reuse byte-identical splits.
-    """
-    src_lines = read_lines(source_file)
-    tgt_lines = read_lines(target_file)
-    if len(src_lines) != len(tgt_lines):
-        raise CorpusError(
-            f"line counts differ: {source_file} has {len(src_lines)}, {target_file} has {len(tgt_lines)}"
-        )
-    if indices is None:
-        indices = split_indices(len(src_lines), config)
-    corpus = ParallelCorpus(source_language, target_language)
-    for name, idx in indices.items():
-        corpus.splits[name] = [
-            ParallelExample(
-                encode(src_lines[i], vocabulary, source_language),
-                encode(tgt_lines[i], vocabulary, target_language),
-            )
-            for i in idx
-        ]
-    return corpus
-
-
-def load_monolingual(file, config: SplitConfig, vocabulary: Vocabulary, language: str,
-                     indices: dict | None = None) -> MonolingualCorpus:
-    lines = read_lines(file)
-    if not lines:
-        raise CorpusError(f"{file}: empty corpus")
-    if indices is None:
-        indices = split_indices(len(lines), config)
-    corpus = MonolingualCorpus(language)
-    for name, idx in indices.items():
-        corpus.splits[name] = [encode(lines[i], vocabulary, language) for i in idx]
-    return corpus
 
 
 @dataclass

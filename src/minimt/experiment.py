@@ -7,9 +7,11 @@ seed and decode settings; they differ only in the auxiliary objective (and,
 if the paper-faithful batch asymmetry is configured, the batch size).
 Completed stages are cached in the output directory's manifest, keyed by a
 fingerprint of the configuration that feeds them and of the stage before
-them. The translate and evaluate stages run ``translate_file`` and
-``score_files``, the same bodies as ``minimt translate`` and ``minimt
-evaluate``.
+them; prepare's also covers the bytes of every corpus file, so a changed
+corpus runs every stage again. ``prepare`` alone reads and checks the
+corpora whole; later stages read the lines of its splits. The translate
+and evaluate stages run ``translate_file`` and ``score_files``, the same
+bodies as ``minimt translate`` and ``minimt evaluate``.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ from minimt.config import (
 )
 from minimt.data import (
     CorpusError,
+    MonolingualCorpus,
+    ParallelCorpus,
+    ParallelExample,
     SplitConfig,
     Vocabulary,
     build_vocab,
     decode,
     encode,
     frame_source,
-    load_monolingual,
-    load_parallel,
     read_corpus,
     read_lines,
     split_indices,
@@ -169,9 +172,12 @@ class ExperimentRunner:
         """Validate the corpora, build the shared vocabulary and persist the
         split manifests. A blank line or a carriage return in a corpus fails
         here with its file:line (see ``data.read_corpus``); lines that
-        batching will truncate are counted in one warning."""
+        batching will truncate are counted in one warning. The stage's
+        fingerprint covers each corpus file's SHA-256, so a corpus edited in
+        place runs this stage, and every stage after it, again."""
         self.out.mkdir(parents=True, exist_ok=True)
-        self.config.validate_files()
+        paths = self.config.corpus_files()
+        corpus_sha256 = {path: _sha256_file(path) for path in paths}
         data = self.config.data
         mono_langs = sorted(data.mono_files)
         outputs = [self.vocab_path, self._manifest_file("parallel"),
@@ -179,15 +185,11 @@ class ExperimentRunner:
 
         def build():
             (self.out / "manifests").mkdir(parents=True, exist_ok=True)
-            src_lines = read_corpus(data.parallel_src_file)
-            tgt_lines = read_corpus(data.parallel_tgt_file)
+            corpora = [(path, read_corpus(path)) for path in paths]
+            (src, src_lines), (tgt, tgt_lines), *mono = corpora  # mono in mono_langs order
             if len(src_lines) != len(tgt_lines):
-                raise CorpusError(
-                    f"line counts differ: {data.parallel_src_file} has {len(src_lines)}, "
-                    f"{data.parallel_tgt_file} has {len(tgt_lines)}")
-            mono_lines = {lang: read_corpus(data.mono_files[lang]) for lang in mono_langs}
-            corpora = [(data.parallel_src_file, src_lines), (data.parallel_tgt_file, tgt_lines),
-                       *((data.mono_files[lang], mono_lines[lang]) for lang in mono_langs)]
+                raise CorpusError(f"line counts differ: {src} has {len(src_lines)}, "
+                                  f"{tgt} has {len(tgt_lines)}")
             _warn_over_length(corpora, data.tokenize_mode, self.config.model.max_len)
             vocab = build_vocab((line for _, lines in corpora for line in lines),
                                 languages=self.config.languages,
@@ -205,18 +207,21 @@ class ExperimentRunner:
 
             seed = self.config.seed
             write_manifest("parallel", len(src_lines), SplitConfig(*data.parallel_split, seed=seed))
-            for lang in mono_langs:
-                write_manifest(f"mono_{lang}", len(mono_lines[lang]),
-                               SplitConfig(*data.mono_split, seed=seed))
+            for lang, (_, lines) in zip(mono_langs, mono):
+                write_manifest(f"mono_{lang}", len(lines), SplitConfig(*data.mono_split, seed=seed))
 
-        return self._stage("prepare", {"seed": self.config.seed,
+        return self._stage("prepare", {"seed": self.config.seed, "corpus_sha256": corpus_sha256,
                                        "data": self.config.to_dict()["data"]}, outputs, build)
 
     def _load_vocab(self) -> Vocabulary:
         return Vocabulary.load(self.vocab_path, mode=self.config.data.tokenize_mode)
 
-    def _load_indices(self, corpus: str) -> dict:
-        return json.loads(self._manifest_file(corpus).read_text())["indices"]
+    def _splits(self, corpus: str, path) -> dict:
+        """``{split: lines}`` of the corpus file ``path``, as ``prepare`` drew
+        them into ``manifests/<corpus>.json``."""
+        indices = json.loads(self._manifest_file(corpus).read_text())["indices"]
+        lines = read_lines(path)
+        return {split: [lines[i] for i in idx] for split, idx in indices.items()}
 
     def _direction_files(self, direction: str):
         a, _, b = direction.partition("->")
@@ -253,16 +258,17 @@ class ExperimentRunner:
                         "set data.mono_files")
             run_dir.mkdir(parents=True, exist_ok=True)
             vocab = self._load_vocab()
-            parallel = load_parallel(src_file, tgt_file,
-                                     SplitConfig(*config.data.parallel_split, seed=seed),
-                                     vocab, src_lang, tgt_lang,
-                                     indices=self._load_indices("parallel"))
+            src, tgt = self._splits("parallel", src_file), self._splits("parallel", tgt_file)
+            parallel = ParallelCorpus(src_lang, tgt_lang, {
+                split: [ParallelExample(encode(s, vocab, src_lang), encode(t, vocab, tgt_lang))
+                        for s, t in zip(src[split], tgt[split])]
+                for split in ("train", "validation")})
             mono = {}
             if regime == "mtl":
                 for lang in (src_lang, tgt_lang):
-                    mono[lang] = load_monolingual(
-                        config.data.mono_files[lang], SplitConfig(*config.data.mono_split, seed=seed),
-                        vocab, lang, indices=self._load_indices(f"mono_{lang}"))
+                    lines = self._splits(f"mono_{lang}", config.data.mono_files[lang])["train"]
+                    mono[lang] = MonolingualCorpus(lang, {"train": [encode(line, vocab, lang)
+                                                                    for line in lines]})
             model_cfg = runtime_config(ModelConfig, config.model, vocab_size=len(vocab), seed=seed)
             model = init_params(model_cfg, multitask=(regime == "mtl"))
             freeze = (FreezeSpec.first_half_encoder(model)
@@ -299,12 +305,11 @@ class ExperimentRunner:
 
         def build():
             _, _, src_file, tgt_file = self._direction_files(direction)
-            indices = self._load_indices("parallel")["test"]
-            src_lines, tgt_lines = read_lines(src_file), read_lines(tgt_file)
-            translate_file(run_dir / "checkpoint.npz", self.vocab_path,
-                           [src_lines[i] for i in indices], hyp_path, self.config.decode)
-            write_text_atomically(ref_path, "".join(" ".join(tgt_lines[i].split()) + "\n"
-                                                    for i in indices))
+            sources = self._splits("parallel", src_file)["test"]
+            references = self._splits("parallel", tgt_file)["test"]
+            translate_file(run_dir / "checkpoint.npz", self.vocab_path, sources, hyp_path,
+                           self.config.decode)
+            write_text_atomically(ref_path, "".join(" ".join(r.split()) + "\n" for r in references))
 
         self._stage(f"translate:{direction}:{regime}", {"decode": self.config.to_dict()["decode"]},
                     [hyp_path, ref_path], build, after=f"train:{direction}:{regime}")

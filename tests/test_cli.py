@@ -80,11 +80,29 @@ def test_config_rejects_unknown_keys():
     ({"data": {"parallel_split": [80, 10, 10, 3]}}, "data"),
     ({"model": {"max_len": 2}}, "model"),
     ({"model": {"max_len": 1}}, "model"),
+    ({"data": {"parallel_split": [120, 10, 0]}}, "data"),
+    ({"data": {"parallel_split": [0, 10, 10]}}, "data"),
+    ({"data": {"mono_files": {"aa": "mono.aa"}, "mono_split": [0, 0, 0]}}, "data"),
+    ({"data": {"tokenize_mode": "bogus"}}, "data"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"directions": "aa->bb"}, "directions"),
 ])
 def test_config_rejects_bad_values(payload, section):
     with pytest.raises(ConfigError, match=rf"^config\.{section}: ") as err:
         config_from_dict(payload)
-    assert any(str(bad) in str(err.value) for bad in payload[section].values())  # echoed
+    bad = payload[section]
+    assert any(str(v) in str(err.value)
+               for v in (bad.values() if isinstance(bad, dict) else [bad]))  # echoed
+
+
+def test_command_line_overrides_are_checked_like_the_config_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    fast_smoke(tmp_path / "run").save(path)
+    assert main(["prepare", "--config", str(path), "--seed", "-1"]) == 1
+    assert "config.seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifests").exists()
 
 
 def test_config_rejects_bad_direction():
@@ -104,6 +122,9 @@ def test_preset_paper_faithful_protocol():
     assert config.train.freeze == "first_half"
     assert config.decode.beam_size == 2
     assert config.decode.length_penalty == 1.2
+    # its corpus paths are left for the user to fill in, and prepare says so
+    with pytest.raises(ConfigError, match=r"no corpus path given for \['parallel_src_file'"):
+        config.corpus_files()
 
 
 def test_unknown_preset():
@@ -152,12 +173,25 @@ def test_prepare_rerun_is_identical(tmp_path, capsys):
 
 def test_prepare_oversize_split_names_corpus(tmp_path, capsys):
     config = fast_smoke(tmp_path / "run", seed=1)
-    config.data.parallel_split = [10_000, 0, 0]
+    config.data.parallel_split = [10_000, 0, 10]
     path = tmp_path / "c.json"
     config.save(path)
     assert main(["prepare", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "parallel" in err and "prepare" in err
+    assert "parallel" in err and "prepare" in err and "only 140 lines" in err
+    # an empty monolingual corpus cannot hold its train split either
+    config = fast_smoke(tmp_path / "mono", seed=1)
+    Path(config.data.mono_files["aa"]).write_bytes(b"")
+    with pytest.raises(StageFailure, match="corpus 'mono_aa': .* only 0 lines"):
+        ExperimentRunner(config).prepare()
+    # nor can a parallel pair whose sides have different line counts
+    config = fast_smoke(tmp_path / "pair", seed=1)
+    tgt = Path(config.data.parallel_tgt_file)
+    tgt.write_text("".join(tgt.read_text(encoding="utf-8").splitlines(True)[:-1]),
+                   encoding="utf-8")
+    with pytest.raises(StageFailure, match=rf"line counts differ: .* has 140, "
+                                           rf"{re.escape(str(tgt))} has 139"):
+        ExperimentRunner(config).prepare()
 
 
 def rewrite_line(path, index, text):
@@ -490,6 +524,24 @@ def test_experiment_outputs_laid_out_per_direction_and_regime(trained_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "config_fingerprint" in manifest
     assert len(manifest["stages"]) == 1 + 4 * 3  # prepare + 4 runs x (train, translate, evaluate)
+
+
+def test_a_corpus_edited_in_place_runs_every_stage_again(tmp_path, caplog):
+    config = fast_smoke(tmp_path / "run", steps=2)
+    ExperimentRunner(config).run()
+    stages = list(json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"])
+    assert len(stages) == 13
+    # the same line count, so the split manifests cannot tell the difference
+    tgt = Path(config.data.parallel_tgt_file)
+    lines = tgt.read_text(encoding="utf-8").splitlines()
+    tgt.write_text("".join(" ".join(reversed(line.split())) + "\n" for line in lines),
+                   encoding="utf-8")
+    for state in ("running", "cached"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="minimt.experiment"):
+            ExperimentRunner(config).run()
+        assert sorted(m for m in caplog.messages if m.endswith(f"] {state}")) == [
+            f"[{name}] {state}" for name in sorted(stages)]
 
 
 def test_manifest_records_stage_time_and_memory(trained_run):

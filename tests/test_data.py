@@ -14,8 +14,6 @@ from minimt.data import (
     build_vocab,
     decode,
     encode,
-    load_monolingual,
-    load_parallel,
     make_batches,
     read_corpus,
     read_lines,
@@ -116,59 +114,26 @@ def test_roundtrip_property(tokens):
     assert decode(encode(line, v, "xx"), v) == " ".join(line.split())
 
 
-# --- corpus loading ----------------------------------------------------------
+# --- corpus reading and splitting ---------------------------------------------
 
-def test_load_parallel_split_sizes(tmp_path, vocab):
-    src = write(tmp_path, "s.xx", [f"a b {i}" for i in range(10)])
-    tgt = write(tmp_path, "t.yy", [f"c {i}" for i in range(10)])
-    corpus = load_parallel(src, tgt, SplitConfig(6, 2, 2, seed=7), vocab, "xx", "yy")
-    assert [len(corpus.split(s)) for s in ("train", "validation", "test")] == [6, 2, 2]
-
-
-def test_load_parallel_deterministic_and_disjoint(tmp_path, vocab):
-    lines = [f"a{i} b{i}" for i in range(30)]
-    src = write(tmp_path, "s.xx", lines)
-    tgt = write(tmp_path, "t.yy", lines)
+def test_split_indices_deterministic_and_disjoint():
     cfg = SplitConfig(10, 5, 5, seed=3)
     idx1 = split_indices(30, cfg)
     idx2 = split_indices(30, cfg)
     assert idx1 == idx2
+    assert [len(idx1[s]) for s in ("train", "validation", "test")] == [10, 5, 5]
     hashes = [hashlib.sha256(str(sorted(v)).encode()).hexdigest() for v in idx1.values()]
     assert len(set(hashes)) == 3
     all_idx = sum((v for v in idx1.values()), [])
     assert len(all_idx) == len(set(all_idx))
-
-
-def test_load_parallel_accepts_paper_scale_config(tmp_path, vocab):
-    n = 130_000
-    src = write(tmp_path, "big.xx", ["a b"] * n)
-    tgt = write(tmp_path, "big.yy", ["c"] * n)
-    corpus = load_parallel(src, tgt, SplitConfig(100_000, 20_000, 5_000, seed=0), vocab, "xx", "yy")
-    assert len(corpus.split("train")) == 100_000
-    assert len(corpus.split("validation")) == 20_000
-    assert len(corpus.split("test")) == 5_000
-
-
-def test_load_parallel_line_count_mismatch(tmp_path, vocab):
-    src = write(tmp_path, "s.xx", ["a", "b"])
-    tgt = write(tmp_path, "t.yy", ["c"])
-    with pytest.raises(CorpusError, match="line counts differ"):
-        load_parallel(src, tgt, SplitConfig(1, 0, 0), vocab, "xx", "yy")
-
-
-def test_load_parallel_insufficient_lines(tmp_path, vocab):
-    src = write(tmp_path, "s.xx", ["a"])
-    tgt = write(tmp_path, "t.yy", ["c"])
     with pytest.raises(CorpusError, match="only 1 lines"):
-        load_parallel(src, tgt, SplitConfig(5, 0, 0), vocab, "xx", "yy")
-
-
-def test_load_parallel_rejects_malformed_utf8(tmp_path, vocab):
-    bad = tmp_path / "bad.xx"
-    bad.write_bytes(b"a b\n\xff\xfe\n")
-    ok = write(tmp_path, "ok.yy", ["c", "d"])
-    with pytest.raises(CorpusError, match="UTF-8"):
-        load_parallel(bad, ok, SplitConfig(1, 0, 0), vocab, "xx", "yy")
+        split_indices(1, SplitConfig(5, 0, 0))
+    # the paper's parallel and monolingual splits, to the line
+    big = split_indices(130_000, SplitConfig(100_000, 20_000, 5_000, seed=0))
+    assert {k: len(v) for k, v in big.items()} == {"train": 100_000, "validation": 20_000,
+                                                   "test": 5_000}
+    assert len(set(sum(big.values(), []))) == 125_000
+    assert len(split_indices(70_000, SplitConfig(70_000, 0, 0))["train"]) == 70_000
 
 
 @pytest.mark.parametrize("content, problem", [
@@ -190,21 +155,6 @@ def test_read_corpus_reads_what_read_lines_reads(tmp_path):
     path = tmp_path / "c.xx"
     path.write_bytes("a b\nc  d \né\n".encode("utf-8"))
     assert read_corpus(path) == read_lines(path) == ["a b", "c  d ", "é"]
-
-
-def test_load_monolingual_desk_and_paper_scale(tmp_path, vocab):
-    small = write(tmp_path, "m500.xx", ["a b"] * 500)
-    corpus = load_monolingual(small, SplitConfig(500, 0, 0), vocab, "xx")
-    assert len(corpus.split("train")) == 500
-    big = write(tmp_path, "m70k.xx", ["a"] * 70_000)
-    corpus = load_monolingual(big, SplitConfig(70_000, 0, 0), vocab, "xx")
-    assert len(corpus.split("train")) == 70_000
-
-
-def test_load_monolingual_empty_file(tmp_path, vocab):
-    empty = write(tmp_path, "empty.xx", [])
-    with pytest.raises(CorpusError, match="empty"):
-        load_monolingual(empty, SplitConfig(0, 0, 0), vocab, "xx")
 
 
 @pytest.mark.parametrize("sizes", [(-5, 10, 10), (10, -1, 0), (1.5, 0, 0), (10, 0, 2.0)])
