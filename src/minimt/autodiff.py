@@ -1,17 +1,24 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-Define-by-run: every operation on tensors that require gradients records
-its inputs and a backward closure on the output tensor, so the computation
-graph is rebuilt on each forward pass and lives in the tensors' parent
-links. ``backward(root)`` walks that graph once, in reverse topological
-order. All arithmetic is float64.
+Define-by-run: an operation on tensors that require gradients gives its
+output tensor a graph node, so the computation graph is rebuilt on each
+forward pass. A node is kept apart from the tensor it belongs to and holds
+only what ``backward`` needs: the output's gradient accumulator, one grad
+sink per input (the input's node, the input itself when it is a leaf that
+needs a gradient, or None), a backward closure and a done flag. The
+closure holds only the arrays its backward reads, never an input tensor,
+so an intermediate array that no backward reads (a residual sum, a
+pre-ReLU projection) is freed as soon as the model code drops its tensor.
+``backward(root)`` walks the nodes once, in reverse topological order, and
+drops each closure, with the arrays it kept, once it has run. All
+arithmetic is float64.
 
 Two fused ops carry the model: ``linear(x, w, b)`` is ``x @ w + b`` as one
 node, for every projection, and ``attention(q, k, v, n_heads, mask)`` is a
 whole multi-head scaled dot-product attention between the projections as
 one node, which keeps only its attention weights for backward. Gradients
-are owned: the first array a backward closure hands to a tensor becomes
-that tensor's ``grad`` (later ones are added in place), so a closure passes
+are owned: the first array a backward closure hands to a sink becomes
+that sink's ``grad`` (later ones are added in place), so a closure passes
 only arrays that nothing else holds, and copies where it would otherwise
 pass a view of its incoming gradient. Note that ``training.Adam`` re-homes
 its parameters' ``data`` as views into one flat buffer.
@@ -53,23 +60,62 @@ def no_grad():
         _grad_enabled = prev
 
 
+class Node:
+    """The graph record of one op output: what ``backward`` needs of it.
+
+    ``grad`` accumulates the output's gradient. ``sinks`` has one entry per
+    op input: its node, the input itself if it is a leaf that needs a
+    gradient, or None. ``fn(g, *sinks)`` hands each sink that is not None
+    its share of ``g``; ``backward`` drops it once it has run. Nodes and
+    tensors share one read-only view of the graph, ``_children`` and
+    ``_backward_fn``, which the node count in ``perfbench/tracing.py`` walks.
+    """
+
+    __slots__ = ("grad", "sinks", "fn", "done")
+
+    def __init__(self, fn, sinks):
+        self.grad = None
+        self.sinks = sinks
+        self.fn = fn
+        self.done = False
+
+    @property
+    def _children(self):
+        """The sinks that are not None."""
+        return tuple(s for s in self.sinks if s is not None)
+
+    @property
+    def _backward_fn(self):
+        """``fn`` with the sinks bound, or None once backward has run it."""
+        if self.fn is None:
+            return None
+        return lambda g: self.fn(g, *self.sinks)
+
+
 class Tensor:
     """N-dimensional float64 array, optionally tracked by the autodiff graph.
 
     ``data`` is the value (row-major numpy array), ``grad`` is filled in by
     ``backward`` and accumulates across backward calls on *different* graphs
-    until ``zero_grad`` is called.
+    until ``zero_grad`` is called. An op output that records the graph has
+    a ``Node``; the node does not refer back to the tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_children", "_backward_fn", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._children = ()
-        self._backward_fn = None
-        self._backward_done = False
+        self._node = None
+
+    @property
+    def _children(self):
+        return () if self._node is None else self._node._children
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
 
     @property
     def shape(self):
@@ -138,23 +184,24 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, children, backward_fn):
-    """Build an op output, recording the graph only when it is needed."""
+def _make(data, inputs, backward_fn):
+    """Build an op output, giving it a node only when a gradient must flow
+    to one of ``inputs``; ``backward_fn(g, *sinks)`` takes their sinks in order."""
     out = Tensor(data)
-    if _grad_enabled and any(c.requires_grad for c in children):
+    if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._children = tuple(children)
-        out._backward_fn = backward_fn
+        out._node = Node(backward_fn, tuple([(t._node or t) if t.requires_grad else None
+                                             for t in inputs]))
     return out
 
 
-def _accumulate(tensor, grad):
-    """Add ``grad`` into ``tensor.grad``; the first one is stored as is, so
+def _accumulate(sink, grad):
+    """Add ``grad`` into ``sink.grad``; the first one is stored as is, so
     callers hand over arrays that nothing else holds."""
-    if tensor.grad is None:
-        tensor.grad = grad
+    if sink.grad is None:
+        sink.grad = grad
     else:
-        tensor.grad += grad
+        sink.grad += grad
 
 
 def _unbroadcast(grad, shape):
@@ -170,29 +217,36 @@ def _unbroadcast(grad, shape):
 
 # ---------------------------------------------------------------------------
 # primitive ops
+#
+# A closure's sinks line up with the op's inputs. An op with one input has a
+# node only if that input needs a gradient, so its sink is never None.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
+    shapes = (a.data.shape, b.data.shape)
 
-    def backward_fn(g):
+    def backward_fn(g, *sinks):
         # an operand of the output's shape would get a view of g: copy it
-        for t in (a, b):
-            if t.requires_grad:
-                shape = t.data.shape
-                _accumulate(t, g.copy() if shape == g.shape else _unbroadcast(g, shape))
+        for s, shape in zip(sinks, shapes):
+            if s is not None:
+                _accumulate(s, g.copy() if shape == g.shape else _unbroadcast(g, shape))
 
     return _make(out_data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand: keep only those read
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+    def backward_fn(g, sa, sb):
+        if sa is not None:
+            _accumulate(sa, _unbroadcast(g * b_data, a_shape))
+        if sb is not None:
+            _accumulate(sb, _unbroadcast(g * a_data, b_shape))
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -203,17 +257,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     out_data = a.data @ b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.requires_grad:
-            if a.data.ndim > 2 and b.data.ndim == 2:
+    def backward_fn(g, sa, sb):
+        if sa is not None:
+            _accumulate(sa, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape))
+        if sb is not None:
+            if len(a_shape) > 2 and len(b_shape) == 2:
                 # fold the batch into rows instead of summing a batched product
-                k, n = b.data.shape
-                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                k, n = b_shape
+                _accumulate(sb, a_data.reshape(-1, k).T @ g.reshape(-1, n))
             else:
-                _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+                _accumulate(sb, _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape))
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -228,15 +285,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = x.data @ w.data
     out_data += b.data
     k, n = w.data.shape
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
 
-    def backward_fn(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
+    def backward_fn(g, sx, sw, sb):
+        if sx is not None:
+            _accumulate(sx, g @ w_data.T)
         g2 = g.reshape(-1, n)
-        if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, k).T @ g2)
-        if b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+        if sw is not None:
+            _accumulate(sw, x_data.reshape(-1, k).T @ g2)
+        if sb is not None:
+            _accumulate(sb, g2.sum(axis=0))
 
     return _make(out_data, (x, w, b), backward_fn)
 
@@ -244,28 +303,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            _accumulate(x, g * (x.data > 0.0))
+    def backward_fn(g, sx):
+        _accumulate(sx, g * (out_data > 0.0))  # the output is > 0 exactly where x is
 
     return _make(out_data, (x,), backward_fn)
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
 
-    def backward_fn(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-            return
-        if not keepdims:
+    def backward_fn(g, sx):
+        if axis is not None and not keepdims:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            axes = tuple(ax % x.data.ndim for ax in axes)
-            for ax in sorted(axes):
+            for ax in sorted(ax % len(shape) for ax in axes):
                 g = np.expand_dims(g, ax)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+        _accumulate(sx, np.broadcast_to(g, shape).copy())
 
     return _make(out_data, (x,), backward_fn)
 
@@ -283,9 +336,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     old_shape = x.data.shape
     out_data = x.data.reshape(shape)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            _accumulate(x, g.reshape(old_shape).copy())
+    def backward_fn(g, sx):
+        _accumulate(sx, g.reshape(old_shape).copy())
 
     return _make(out_data, (x,), backward_fn)
 
@@ -293,10 +345,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes=None) -> Tensor:
     out_data = x.data.transpose(axes)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            inv = None if axes is None else tuple(np.argsort(axes))
-            _accumulate(x, g.transpose(inv).copy())
+    def backward_fn(g, sx):
+        inv = None if axes is None else tuple(np.argsort(axes))
+        _accumulate(sx, g.transpose(inv).copy())
 
     return _make(out_data, (x,), backward_fn)
 
@@ -306,16 +357,16 @@ def concat(tensors, axis=0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
 
-    def backward_fn(g):
+    def backward_fn(g, *sinks):
         offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
+        for s, size in zip(sinks, sizes):
+            if s is not None:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(offset, offset + size)
-                _accumulate(t, g[tuple(index)].copy())
+                _accumulate(s, g[tuple(index)].copy())
             offset += size
 
-    return _make(out_data, tuple(tensors), backward_fn)
+    return _make(out_data, tensors, backward_fn)
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
@@ -326,10 +377,9 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(x, out_data * (g - dot))
+    def backward_fn(g, sx):
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        _accumulate(sx, out_data * (g - dot))
 
     return _make(out_data, (x,), backward_fn)
 
@@ -371,20 +421,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     w /= w.sum(axis=-1, keepdims=True)
     out_data = merge(w @ vh)
 
-    def backward_fn(g):
+    def backward_fn(g, sq, sk, sv):
         gh = heads(g)
-        if v.requires_grad:
-            _accumulate(v, merge(w.swapaxes(-1, -2) @ gh))
+        if sv is not None:
+            _accumulate(sv, merge(w.swapaxes(-1, -2) @ gh))
         dw = gh @ vh.swapaxes(-1, -2)  # the weights' gradient, turned in place into the scores'
         dot = (dw * w).sum(axis=-1, keepdims=True)
         dw -= dot
         dw *= w
         dw *= scale
-        if q.requires_grad:
-            _accumulate(q, merge(dw @ kh))
-        if k.requires_grad:
+        if sq is not None:
+            _accumulate(sq, merge(dw @ kh))
+        if sk is not None:
             dkt = qh.swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
-            _accumulate(k, merge(dkt.swapaxes(-1, -2)))
+            _accumulate(sk, merge(dkt.swapaxes(-1, -2)))
 
     return _make(out_data, (q, k, v), backward_fn)
 
@@ -410,14 +460,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
+    gain_data = gain.data
 
-    def backward_fn(g):
-        if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, d).sum(axis=0))
-        if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            dx = g * gain.data  # the gradient of xhat, turned in place into x's
+    def backward_fn(g, sx, sgain, sbias):
+        if sbias is not None:
+            _accumulate(sbias, g.reshape(-1, d).sum(axis=0))
+        if sgain is not None:
+            _accumulate(sgain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if sx is not None:
+            dx = g * gain_data  # the gradient of xhat, turned in place into x's
             m1 = dx.sum(axis=-1, keepdims=True)
             m1 /= d
             t = dx * xhat
@@ -427,7 +478,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dx -= m1
             dx -= t
             dx *= inv
-            _accumulate(x, dx)
+            _accumulate(sx, dx)
 
     return _make(out_data, (x, gain, bias), backward_fn)
 
@@ -441,12 +492,12 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(f"embedding id out of range [0, {vocab}): min={ids.min()}, max={ids.max()}")
     out_data = table.data[ids]
+    shape = table.data.shape
 
-    def backward_fn(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+    def backward_fn(g, st):
+        if st.grad is None:
+            st.grad = np.zeros(shape)
+        np.add.at(st.grad, ids, g)
 
     return _make(out_data, (table,), backward_fn)
 
@@ -476,15 +527,14 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int) -> Tensor:
     picked = np.take_along_axis(logits.data, safe_targets[..., None], axis=-1)[..., 0]
     per_pos = (lse[..., 0] - picked) * mask
     out_data = per_pos.sum() / n_valid
+    logits_data = logits.data
 
-    def backward_fn(g):
-        if not logits.requires_grad:
-            return
-        p = np.exp(logits.data - lse)
+    def backward_fn(g, sl):
+        p = np.exp(logits_data - lse)
         d = p * (mask[..., None] / n_valid)
         idx = safe_targets[..., None]
         np.put_along_axis(d, idx, np.take_along_axis(d, idx, axis=-1) - mask[..., None] / n_valid, axis=-1)
-        _accumulate(logits, g * d)
+        _accumulate(sl, g * d)
 
     return _make(out_data, (logits,), backward_fn)
 
@@ -508,16 +558,17 @@ def backward(root: Tensor) -> None:
 
     The root must be a scalar attached to a graph. Running backward a second
     time through any part of an already-consumed graph raises GraphError;
-    rebuild the forward pass instead.
+    rebuild the forward pass instead. The root keeps its ``grad``; every
+    node it reaches gives up its gradient and its closure once it has run.
     """
     if root.data.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.data.shape}")
-    if not root._children:
+    if root._node is None:
         raise GraphError("backward root is detached: no computation graph was recorded")
 
     topo = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(root._node, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -527,20 +578,18 @@ def backward(root: Tensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for child in node._children:
-            if child._children or child.requires_grad:
-                stack.append((child, False))
+        for sink in node.sinks:
+            if type(sink) is Node:  # leaf sinks only receive gradients
+                stack.append((sink, False))
 
     root.grad = np.ones_like(root.data)
+    root._node.grad = root.grad
     for node in reversed(topo):
-        if node._backward_fn is None:
-            continue
-        if node._backward_done:
+        if node.done:
             raise GraphError("backward already ran through this graph; rebuild the forward pass")
-        node._backward_done = True
-        node._backward_fn(node.grad)
-        if node is not root:
-            node.grad = None  # free intermediate grads; leaves keep theirs
+        node.done = True
+        node.fn(node.grad, *node.sinks)
+        node.fn = node.grad = None  # frees the arrays the closure kept
 
 
 def zero_grads(tensors) -> None:

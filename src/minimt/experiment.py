@@ -109,7 +109,8 @@ def _dir_name(direction: str) -> str:
 
 class ExperimentRunner:
     def __init__(self, config: ExperimentConfig):
-        self.config = config
+        # rebuilt, so a field set after the config was made is checked too
+        self.config = config = config_from_dict(config.to_dict())
         self.out = Path(config.out_dir)
         self.vocab_path = self.out / "vocab.txt"
         self.manifest_path = self.out / "manifest.json"

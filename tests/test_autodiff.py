@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -294,15 +296,12 @@ def test_grad_check_cross_entropy_softmax_chain():
 def test_grad_check_flags_wrong_backward():
     # negative control: an op whose backward is off by a factor of two
     def bad_square(t):
-        out = Tensor(t.data * t.data)
-        out.requires_grad = True
-        out._children = (t,)
+        data = t.data
 
-        def backward_fn(g):
-            ad._accumulate(t, g * t.data)  # should be 2 * t.data
+        def backward_fn(g, sink):
+            ad._accumulate(sink, g * data)  # should be 2 * data
 
-        out._backward_fn = backward_fn
-        return out.sum()
+        return ad._make(data * data, (t,), backward_fn).sum()
 
     x = rand((3,), 20)
     report = grad_check(bad_square, [x], tolerance=1e-6)
@@ -467,10 +466,11 @@ def test_gradients_own_their_memory(name, fn):
     assert b.grad is None or np.all(b.grad == 1.0), name
 
 
-def test_desk_step_gradients_share_no_memory():
+def _desk_step():
+    """A multitask model of the default shape and one step's (parallel,
+    source mono, target mono) batches of 16 sentences of 3-8 tokens."""
     from minimt.data import ParallelExample, build_vocab, encode, make_batches
     from minimt.model import ModelConfig, init_params
-    from minimt.training import compute_losses
 
     rng = np.random.default_rng(73)
     words = [f"w{i}" for i in range(30)]
@@ -480,8 +480,18 @@ def test_desk_step_gradients_share_no_memory():
     src = [encode(l, vocab, "xx") for l in lines[16:32]]
     tgt = [encode(l, vocab, "yy") for l in lines[32:]]
     batches = [make_batches(split, 16, vocab, 64, seed=0)[0] for split in (pairs, src, tgt)]
-    model = init_params(ModelConfig(vocab_size=len(vocab)), multitask=True)
-    root = compute_losses(model, *batches).loss
+    return init_params(ModelConfig(vocab_size=len(vocab)), multitask=True), batches
+
+
+def _desk_step_root(model, batches):
+    from minimt.training import compute_losses
+
+    return compute_losses(model, *batches).loss
+
+
+def test_desk_step_gradients_share_no_memory():
+    model, batches = _desk_step()
+    root = _desk_step_root(model, batches)
     backward(root)
     grads = [p.grad for p in model.parameters()]
     assert all(g is not None for g in grads)
@@ -489,6 +499,101 @@ def test_desk_step_gradients_share_no_memory():
         assert not np.shares_memory(g, root.grad)
         for h in grads[i + 1:]:
             assert not np.shares_memory(g, h)
+
+
+# --- the memory contract: a node keeps only what its backward reads ---------------
+
+def _graph(root):
+    """Every object reachable from ``root`` through ``_children``, root first."""
+    seen, order, stack = set(), [], [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            order.append(t)
+            stack.extend(t._children)
+    return order
+
+
+def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
+    # the residual sums and the pre-ReLU projections are dropped by the model
+    # code during the forward pass; no node may keep them for backward
+    model, batches = _desk_step()
+    add, relu = ad.add, ad.relu
+    sums, pre_relu = [], []
+
+    def recording_add(a, b):
+        out = add(a, b)
+        assert out.data.base is None  # an owned array, not a view that dies alone
+        sums.append(weakref.ref(out.data))
+        return out
+
+    def recording_relu(x):
+        assert x.data.base is None
+        pre_relu.append(weakref.ref(x.data))
+        return relu(x)
+
+    monkeypatch.setattr(ad, "add", recording_add)
+    monkeypatch.setattr(ad, "relu", recording_relu)
+    root = _desk_step_root(model, batches)
+    monkeypatch.undo()
+    gc.collect()
+    assert all(t._backward_fn is not None for t in _graph(root) if isinstance(t, ad.Node))
+    assert len(sums) > 20 and len(pre_relu) > 5
+    assert [r() for r in sums if r() is not None] == [root.data]  # the root is a sum of losses
+    assert all(r() is None for r in pre_relu)
+    backward(root)
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_backward_releases_what_nodes_kept(monkeypatch):
+    model, batches = _desk_step()
+    attention = ad.attention
+    weights = []
+
+    def recording_attention(*args):
+        out = attention(*args)
+        fn = out._node.fn
+        kept = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+        assert kept["w"].shape[-2:] == (out.shape[1], args[1].shape[1])  # the attention weights
+        weights.append(weakref.ref(kept["w"]))
+        return out
+
+    monkeypatch.setattr(ad, "attention", recording_attention)
+    root = _desk_step_root(model, batches)
+    monkeypatch.undo()
+    gc.collect()
+    assert len(weights) > 5 and all(r() is not None for r in weights)
+    backward(root)
+    gc.collect()
+    assert all(r() is None for r in weights)
+    nodes = [t for t in _graph(root) if isinstance(t, ad.Node)]
+    assert nodes and all(n.fn is None and n.grad is None for n in nodes)
+    assert root.grad == 1.0
+
+
+def test_second_backward_through_a_consumed_step_raises():
+    model, batches = _desk_step()
+    root = _desk_step_root(model, batches)
+    backward(root)
+    with pytest.raises(GraphError, match="already ran"):
+        backward(root)
+    with pytest.raises(GraphError, match="already ran"):
+        backward(root * 2.0)
+
+
+def test_step_graph_walks_to_nodes_and_trainable_leaves():
+    # the walk perfbench/tracing.py makes to count graph nodes
+    model, batches = _desk_step()
+    root = _desk_step_root(model, batches)
+    reached = _graph(root)
+    assert all(None not in t._children for t in reached)
+    assert all(hasattr(t, "_backward_fn") for t in reached)
+    leaves = [t for t in reached if t._backward_fn is None]
+    assert {id(t) for t in leaves} == {id(p) for p in model.parameters()}
+    nodes = [t for t in reached[1:] if t._backward_fn is not None]
+    assert all(isinstance(t, ad.Node) for t in nodes)
+    assert root._node not in nodes  # the root's node is reached through the root
 
 
 # --- attention: one node against the composition of generic ops it replaces -------

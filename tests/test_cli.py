@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -102,6 +103,21 @@ def test_command_line_overrides_are_checked_like_the_config_file(tmp_path, capsy
     fast_smoke(tmp_path / "run").save(path)
     assert main(["prepare", "--config", str(path), "--seed", "-1"]) == 1
     assert "config.seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifests").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "config.seed: must be an integer >= 0, got -1"),
+    ("data.tokenize_mode", "bogus", "config.data: tokenize_mode must be one of"),
+])
+def test_the_runner_checks_a_field_set_after_the_config_was_made(tmp_path, field, value,
+                                                                 message):
+    config = make_preset("smoke", tmp_path / "run")
+    assert ExperimentRunner(config).config == config
+    *parents, name = field.split(".")
+    setattr(functools.reduce(getattr, parents, config), name, value)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentRunner(config)
     assert not (tmp_path / "run" / "manifests").exists()
 
 
