@@ -70,6 +70,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.preset:
+        if args.config:
+            raise ConfigError("--preset and --config exclude each other")
         if not args.out_dir:
             raise ConfigError("--preset needs --out-dir")
         config = make_preset(args.preset, args.out_dir, seed=args.seed or 0)

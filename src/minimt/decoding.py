@@ -41,6 +41,8 @@ class DecodeConfig:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_decode_len < 1:
             raise ValueError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
+        if not np.isfinite(self.length_penalty):
+            raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
         if self.penalty_form not in ("pow", "gnmt"):
             raise ValueError(f"unknown penalty form {self.penalty_form!r}")
 

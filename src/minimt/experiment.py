@@ -289,9 +289,7 @@ class ExperimentRunner:
             result = train_loop(model, TrainData(vocab, parallel, mono), train_cfg,
                                 config.optimizer, freeze_spec=freeze, log_path=log_path,
                                 checkpoint_path=ckpt_path, meta=meta)
-            return {"sharded_steps": result.sharded_steps,
-                    "task_split_steps": result.task_split_steps,
-                    "blas_threads": result.blas_threads}
+            return {"split_steps": result.split_steps, "blas_threads": result.blas_threads}
 
         self._stage(f"train:{direction}:{regime}", inputs, [ckpt_path, log_path], build,
                     after="prepare")
@@ -418,6 +416,7 @@ def make_preset(name: str, out_dir, seed: int = 0) -> ExperimentConfig:
     batch asymmetry, constant 1e-5 learning rate, 12+12 layers, freeze the
     first half) and expects real corpus paths to be filled in.
     """
+    ExperimentConfig(seed=seed)  # checks the seed as a loaded config does, before any write
     out_dir = str(out_dir)
     if name == "smoke":
         files = synthetic.generate_pair(Path(out_dir) / "data", n_parallel=140, n_mono=80,

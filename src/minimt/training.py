@@ -9,15 +9,17 @@ the baseline regime optimizes the translation term alone. All shuffling is
 derived functionally from (seed, epoch/cycle) so a resumed run replays the
 exact batch order of an uninterrupted one.
 
-Every step runs as a list of parts (see ``train_step``): a long step's
-batches are split by rows into shards, a smaller joint multitask step into
-its translation and CLM halves, and any other step is one part, the whole
-step. Part 0 runs on the model in the calling thread and the others on
-replicas in a pool of worker threads, and their gradients are summed into
-the model's before the update; a one-part step starts no thread and
-computes exactly the whole step. ``Adam`` gives half of a large update to
-the same pool. numpy's kernels and BLAS release the interpreter lock, so
-the parts overlap on separate cores.
+Every step runs as the list of parts that ``step_parts`` returns with the
+step's split, one of three kinds: "rows" splits a long step's batches by
+rows into shards, "tasks" a smaller joint multitask step into its
+translation and CLM halves, and "whole" keeps any other step as one part.
+Part 0 runs on the model in the calling thread and the others on replicas
+in a pool of worker threads, and their gradients are summed into the
+model's before the update; a "whole" step starts no thread and computes
+exactly the whole step. Each step's ``LossBreakdown.split`` records its
+kind, and ``TrainResult.split_steps`` counts a run's steps by kind.
+``Adam`` gives half of a large update to the same pool. numpy's kernels and
+BLAS release the interpreter lock, so the parts overlap on separate cores.
 """
 
 from __future__ import annotations
@@ -39,7 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from minimt.autodiff import Tensor, backward, cross_entropy, embedding, no_grad, zero_grads
+from minimt.autodiff import (
+    Tensor,
+    _accumulate,
+    backward,
+    cross_entropy,
+    embedding,
+    no_grad,
+    zero_grads,
+)
 from minimt.data import (
     ParallelBatch,
     ParallelCorpus,
@@ -69,12 +79,12 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        for name in ("lr", "eps"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -115,16 +125,14 @@ class LossBreakdown:
     """Per-task loss components of one step. ``loss`` is the graph root that
     would be backpropagated; after ``train_step`` it holds only that root's
     value, so a kept breakdown does not keep the step's graph alive.
-    Components are plain floats. ``shards`` is the number of row shards the
-    step ran in (1 when it ran whole); ``task_split`` says whether its
-    translation and CLM halves ran on separate threads."""
+    Components are plain floats. ``split`` is the kind of split the step
+    ran in: "rows", "tasks" or "whole" (see ``step_parts``)."""
 
     l_t: float
     l_clm_src: float = 0.0
     l_clm_tgt: float = 0.0
     loss: Tensor | None = field(default=None, repr=False, compare=False)
-    shards: int = field(default=1, compare=False)
-    task_split: bool = field(default=False, compare=False)
+    split: str = field(default="whole", compare=False)
 
     @property
     def l_clm(self) -> float:
@@ -211,13 +219,14 @@ class Adam:
     buffer, checks that they are finite, scales them to a global L2 norm of
     at most ``clip_norm`` when given, and updates the buffers with a few
     in-place ufuncs, in the same elementwise order as the textbook update.
-    It checks and updates in blocks of ``ADAM_BLOCK`` elements, and on a
-    machine with a second usable core gives the second half of the blocks
-    to a worker thread when there are at least ``ADAM_SPLIT_BLOCKS`` blocks'
-    worth of elements. That layout is fixed on construction, and each of
-    the one or two parts keeps one block's worth of scratch for the update's
-    intermediates. Every element sees the same operations either way, so
-    the update is bit-identical.
+    It checks and updates in blocks of ``ADAM_BLOCK`` elements: it checks
+    them all in the calling thread, and on a machine with a second usable
+    core gives the second half of the blocks' updates to a worker thread
+    when there are at least ``ADAM_SPLIT_BLOCKS`` blocks' worth of elements.
+    That layout is fixed on construction, and each of the one or two parts
+    keeps one block's worth of scratch for the update's intermediates.
+    Every element sees the same operations either way, so the update is
+    bit-identical.
     """
 
     def __init__(self, named_params, config: OptimizerConfig):
@@ -250,7 +259,8 @@ class Adam:
             view[...] = 0.0 if p.grad is None else p.grad
         # every block is checked before any is updated, so a failed step
         # leaves the moments, the parameters and the step count as they were
-        if not all(_in_parallel([(self._finite, part) for part in self._parts])):
+        if not all(np.isfinite(self._grad[lo:hi]).all() for part in self._parts
+                   for lo, hi in part):
             name = next(name for (name, _), sl in zip(self.params, self._slices)
                         if not np.isfinite(self._grad[sl]).all())
             raise TrainingError(f"non-finite gradient in parameter {name!r}; aborting step")
@@ -261,9 +271,6 @@ class Adam:
         self.t += 1
         _in_parallel([(self._update, part, scratch)
                       for part, scratch in zip(self._parts, self._scratch)])
-
-    def _finite(self, blocks) -> bool:
-        return all(np.isfinite(self._grad[lo:hi]).all() for lo, hi in blocks)
 
     def _update(self, blocks, scratch):
         c, t = self.config, self.t
@@ -353,7 +360,28 @@ def _usable_cores() -> int:
 
 def _positions(batches) -> int:
     return sum(b.src.size + b.tgt_in.size if isinstance(b, ParallelBatch) else b.dec_in.size
-               for b in batches if b is not None)
+               for b in batches)
+
+
+def step_parts(model, batches) -> tuple[str, list]:
+    """How a step of ``model`` over ``batches`` (parallel, src mono, tgt
+    mono; None for one it lacks) splits: its kind and its parts, such
+    triples in the order they run. "rows" is one row shard per usable core,
+    capped by the rows of the smallest batch and by the padded positions
+    over ``SHARD_MIN_POSITIONS``, when that allows two or more; else
+    "tasks" is the translation and CLM halves of a joint multitask step
+    whose padded positions times ``d_model`` reach
+    ``TASK_SPLIT_MIN_ELEMENTS``, with a second usable core; else "whole"."""
+    pb, sb, tb = batches
+    present = [b for b in batches if b is not None]
+    cores, positions = _usable_cores(), _positions(present)
+    k = min(cores, min((len(b) for b in present), default=0), positions // SHARD_MIN_POSITIONS)
+    if k > 1:
+        return "rows", list(zip(*(_row_shards(b, k) for b in batches)))
+    if (pb is not None and (sb is not None or tb is not None) and cores > 1
+            and positions * model.config.d_model >= TASK_SPLIT_MIN_ELEMENTS):
+        return "tasks", [(pb, None, None), (None, sb, tb)]
+    return "whole", [(pb, sb, tb)]
 
 
 def _width(batch) -> int:
@@ -361,29 +389,6 @@ def _width(batch) -> int:
     if isinstance(batch, ParallelBatch):
         return max(batch.src.shape[1], batch.tgt_in.shape[1])
     return batch.dec_in.shape[1]
-
-
-def shard_count(batches) -> int:
-    """How many row shards a step over ``batches`` (None entries skipped)
-    runs in: the usable cores, capped by the rows of the smallest batch, so
-    every shard gets rows of every batch, and by the step's padded positions
-    over ``SHARD_MIN_POSITIONS``."""
-    batches = [b for b in batches if b is not None]
-    if not batches:
-        return 1
-    rows = min(len(b) for b in batches)
-    return max(1, min(_usable_cores(), rows, _positions(batches) // SHARD_MIN_POSITIONS))
-
-
-def splits_by_task(model, batches) -> bool:
-    """Whether a step of ``model`` over ``batches`` (parallel, src mono, tgt
-    mono) that ``shard_count`` keeps whole runs its translation and CLM
-    halves on two threads: a joint multitask step whose padded positions
-    times ``d_model`` reach ``TASK_SPLIT_MIN_ELEMENTS``, with a second usable
-    core."""
-    pb, sb, tb = batches
-    return (pb is not None and (sb is not None or tb is not None) and _usable_cores() > 1
-            and _positions(batches) * model.config.d_model >= TASK_SPLIT_MIN_ELEMENTS)
 
 
 @functools.cache
@@ -513,30 +518,21 @@ def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
     loss, update every non-frozen parameter, its gradient clipped to
     ``train_config.clip_norm`` when that is set.
 
-    The step runs as a list of parts, each a (parallel, src mono, tgt mono)
-    triple of batches: ``shard_count`` row shards when that is above 1;
-    else the translation and CLM halves when ``splits_by_task``; else one
-    part, the whole step. Part 0 runs on ``model`` in this thread, the
-    others on replicas in the worker pool, each with its own dropout
+    The step runs as the parts ``step_parts`` gives it, and the breakdown's
+    ``split`` records their kind. Part 0 runs on ``model`` in this thread,
+    the others on replicas in the worker pool, each with its own dropout
     generator spawned from the model's. Every part weights its cross
     entropies by its share of the step's label positions (see
     ``compute_losses``), and the replicas' grads, added into the model's in
     part order, sum to the whole step's. So a split step matches the whole
-    step up to rounding, and a one-part step starts no thread and computes
+    step up to rounding, and a "whole" step starts no thread and computes
     exactly the whole step. The first error in part order is raised once
     every part has finished.
     """
     zero_grads(model.parameters())
     clm_weight = train_config.clm_loss_weight if train_config else 1.0
     batches = (parallel_batch, src_mono_batch, tgt_mono_batch)
-    k = shard_count(batches)
-    task_split = k == 1 and splits_by_task(model, batches)
-    if k > 1:
-        parts = list(zip(*(_row_shards(b, k) for b in batches)))
-    elif task_split:
-        parts = [(parallel_batch, None, None), (None, src_mono_batch, tgt_mono_batch)]
-    else:
-        parts = [batches]
+    split, parts = step_parts(model, batches)
     totals = {task: _label_positions(b) for task, b in zip(("t", "src", "tgt"), batches)
               if b is not None}
     replicas = _replicas_of(model, len(parts) - 1)
@@ -548,17 +544,14 @@ def train_step(model, parallel_batch, src_mono_batch, tgt_mono_batch,
     for _, pairs in replicas:
         for p, r in pairs:
             if r.grad is not None:
-                if p.grad is None:
-                    p.grad = r.grad
-                else:
-                    p.grad += r.grad
+                _accumulate(p, r.grad)
                 r.grad = None
     optimizer.step(train_config.clip_norm if train_config else None)
     return LossBreakdown(l_t=sum(bd.l_t for bd in bds),
                          l_clm_src=sum(bd.l_clm_src for bd in bds),
                          l_clm_tgt=sum(bd.l_clm_tgt for bd in bds),
                          loss=Tensor(sum(bd.loss.item() for bd in bds)),
-                         shards=k, task_split=task_split)
+                         split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +755,7 @@ class TrainResult:
     log_lines: list
     steps_run: int
     final_loss: LossBreakdown | None
-    sharded_steps: int = 0  # steps that ran in more than one row shard
-    task_split_steps: int = 0  # steps whose translation and CLM halves ran on two threads
+    split_steps: dict = field(default_factory=dict)  # split kind -> steps that ran in it
     blas_threads: int | None = None  # numpy's OpenBLAS thread count at the end, if readable
 
 
@@ -784,8 +776,8 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     step, l_t, l_clm_src, l_clm_tgt, l_mtl, validation-loss, tab separated.
     Each metric line is appended to ``log_path`` when it is logged. Every
     checkpoint written carries ``meta`` in its header. The result's
-    ``sharded_steps`` counts the steps that ran in row shards on threads,
-    and ``task_split_steps`` those whose two task halves did.
+    ``split_steps`` counts the steps by the kind of split they ran in (see
+    ``step_parts``), listing only kinds that ran.
     """
     freeze_spec = freeze_spec or FreezeSpec.none()
     trainable = apply_freeze(model, freeze_spec)
@@ -832,13 +824,12 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     model.train()
     log_lines = []
     last_bd = None
-    sharded_steps = task_split_steps = 0
+    split_steps = {}
     while step < total_steps:
         drawn = {name: stream.next() for name, stream in streams.items()}
         last_bd = train_step(model, drawn["translation"], drawn.get("src_mono"),
                              drawn.get("tgt_mono"), optimizer, train_config)
-        sharded_steps += last_bd.shards > 1
-        task_split_steps += last_bd.task_split
+        split_steps[last_bd.split] = split_steps.get(last_bd.split, 0) + 1
         step += 1
         if step % train_config.log_interval == 0 or step == total_steps:
             val = validation_loss(model, data, train_config, val_batches)
@@ -855,5 +846,4 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
     return TrainResult(model=model, log_lines=log_lines, steps_run=step, final_loss=last_bd,
-                       sharded_steps=sharded_steps, task_split_steps=task_split_steps,
-                       blas_threads=blas_threads())
+                       split_steps=split_steps, blas_threads=blas_threads())

@@ -89,6 +89,13 @@ def test_config_rejects_unknown_keys():
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
     ({"directions": "aa->bb"}, "directions"),
+    ({"optimizer": {"lr": float("nan")}}, "optimizer"),
+    ({"optimizer": {"lr": float("inf")}}, "optimizer"),
+    ({"optimizer": {"eps": float("nan")}}, "optimizer"),
+    ({"optimizer": {"eps": float("inf")}}, "optimizer"),
+    ({"decode": {"length_penalty": float("nan")}}, "decode"),
+    ({"decode": {"length_penalty": float("inf")}}, "decode"),
+    ({"decode": {"length_penalty": float("-inf")}}, "decode"),
 ])
 def test_config_rejects_bad_values(payload, section):
     with pytest.raises(ConfigError, match=rf"^config\.{section}: ") as err:
@@ -96,6 +103,20 @@ def test_config_rejects_bad_values(payload, section):
     bad = payload[section]
     assert any(str(v) in str(err.value)
                for v in (bad.values() if isinstance(bad, dict) else [bad]))  # echoed
+
+
+@pytest.mark.parametrize("section, field, literal", [
+    ("optimizer", "lr", "NaN"),
+    ("optimizer", "lr", "Infinity"),
+    ("optimizer", "eps", "NaN"),
+    ("decode", "length_penalty", "NaN"),
+    ("decode", "length_penalty", "-Infinity"),
+])
+def test_a_non_finite_literal_in_a_config_file_fails_at_load(tmp_path, section, field, literal):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"{section}": {{"{field}": {literal}}}}}')  # json.load reads these
+    with pytest.raises(ConfigError, match=rf"^config\.{section}: {field} must be finite"):
+        load_config(path)
 
 
 def test_command_line_overrides_are_checked_like_the_config_file(tmp_path, capsys):
@@ -146,6 +167,24 @@ def test_preset_paper_faithful_protocol():
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="preset"):
         make_preset("warp-speed", "/tmp/x")
+
+
+def test_experiment_preset_rejects_a_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["experiment", "--preset", "smoke", "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert "config.seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_rejects_a_config_beside_a_preset(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    fast_smoke(tmp_path / "from-config").save(path)
+    out = tmp_path / "run"
+    assert main(["experiment", "--preset", "smoke", "--config", str(path),
+                 "--out-dir", str(out)]) == 1
+    assert "--preset and --config exclude each other" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "from-config" / "manifests").exists()
 
 
 # --- prepare -------------------------------------------------------------------------
@@ -397,6 +436,20 @@ def test_translate_rejects_foreign_vocab(trained_run, tmp_path, capsys):
     assert "vocabulary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_translate_rejects_a_non_finite_length_penalty(trained_run, tmp_path, capsys, value):
+    out, _, _ = trained_run
+    src = tmp_path / "in.txt"
+    src.write_text("ka1\n")
+    assert main(["translate",
+                 "--checkpoint", str(out / "aa-bb" / "baseline" / "checkpoint.npz"),
+                 "--vocab", str(out / "vocab.txt"), "--input", str(src),
+                 "--output", str(tmp_path / "o.txt"), "--length-penalty", value]) == 1
+    err = capsys.readouterr().err
+    assert f"error: translate: length_penalty must be finite, got {value}" in err
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_translate_failing_partway_keeps_the_previous_output(trained_run, tmp_path,
                                                              monkeypatch, capsys):
     from minimt import experiment
@@ -578,19 +631,20 @@ def test_manifest_records_stage_time_and_memory(trained_run):
     assert runner.manifest["stages"]["prepare"]["seconds"] == -1.0
 
 
-def test_manifest_records_sharded_steps(trained_run, tmp_path, monkeypatch):
+def test_manifest_records_split_steps(trained_run, tmp_path, monkeypatch):
     out, _, _ = trained_run
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     trains = [name for name in stages if name.startswith("train:")]
     assert len(trains) == 4
-    # smoke steps are small: no row shards, no task split
-    assert all(stages[name]["sharded_steps"] == 0 for name in trains)
-    assert all(stages[name]["task_split_steps"] == 0 for name in trains)
+    # smoke steps are small: every one of the 6 runs whole
+    assert all(stages[name]["split_steps"] == {"whole": 6} for name in trains)
     readable = training.blas_threads() is not None
     assert all((stages[name]["blas_threads"] >= 1) if readable else
                stages[name]["blas_threads"] is None for name in trains)
     assert all(key not in entry for name, entry in stages.items() if name not in trains
-               for key in ("sharded_steps", "task_split_steps", "blas_threads"))
+               for key in ("split_steps", "blas_threads"))
+    assert all(key not in entry for entry in stages.values()
+               for key in ("sharded_steps", "task_split_steps"))
 
     monkeypatch.setattr(training, "SHARD_MIN_POSITIONS", 1)
     monkeypatch.setattr(training, "_usable_cores", lambda: 2)
@@ -598,7 +652,7 @@ def test_manifest_records_sharded_steps(trained_run, tmp_path, monkeypatch):
     runner.prepare()
     runner.train("aa->bb", "mtl")
     entry = runner.manifest["stages"]["train:aa->bb:mtl"]
-    assert (entry["sharded_steps"], entry["task_split_steps"]) == (4, 0)
+    assert entry["split_steps"] == {"rows": 4}
 
     monkeypatch.setattr(training, "SHARD_MIN_POSITIONS", 10**9)
     monkeypatch.setattr(training, "TASK_SPLIT_MIN_ELEMENTS", 1)
@@ -606,7 +660,7 @@ def test_manifest_records_sharded_steps(trained_run, tmp_path, monkeypatch):
     runner.prepare()
     runner.train("aa->bb", "mtl")
     entry = runner.manifest["stages"]["train:aa->bb:mtl"]
-    assert (entry["sharded_steps"], entry["task_split_steps"]) == (0, 4)
+    assert entry["split_steps"] == {"tasks": 4}
     if training.blas_threads() is not None:
         assert entry["blas_threads"] == 1  # the worker pool caps BLAS at one thread
 

@@ -273,18 +273,19 @@ def test_a_non_finite_gradient_in_adams_worker_half_aborts_before_any_update(mon
     backward(compute_losses(model, pb, sb, tb).loss)
     name, p = list(model.named_parameters())[-1]  # in the last block: the worker's half
     p.grad[...] = np.inf
+    assert len(opt._parts) == 2 and opt._parts[1][-1][1] == opt._data.size
     state = [a.copy() for a in (opt._m, opt._v, opt._data)], opt.t
-    checked = []
-    real_finite = Adam._finite
+    updates = []
+    real_update = Adam._update
 
-    def spy(self, blocks):
-        checked.append((threading.current_thread().name, blocks[-1][1] == opt._data.size))
-        return real_finite(self, blocks)
+    def spy(self, *args):
+        updates.append(threading.current_thread().name)
+        return real_update(self, *args)
 
-    monkeypatch.setattr(Adam, "_finite", spy)
+    monkeypatch.setattr(Adam, "_update", spy)
     with pytest.raises(TrainingError, match=re.escape(repr(name))):
         opt.step()
-    assert any(thread.startswith("minimt-shard") and holds_last for thread, holds_last in checked)
+    assert updates == []  # neither half's update started
     assert all(np.array_equal(a, b) for a, b in zip(state[0], (opt._m, opt._v, opt._data)))
     assert opt.t == state[1] == 1
 
@@ -1010,7 +1011,8 @@ def test_sharded_step_matches_the_whole_step(shards, mode, k):
     sharded = train_step(model, *batches, opt)
     sharded_grads = step_grads(model)
 
-    assert (whole.shards, sharded.shards) == (1, k)
+    kind, parts = training.step_parts(model, batches)
+    assert (whole.split, sharded.split, kind, len(parts)) == ("whole", "rows", "rows", k)
     for field in ("l_t", "l_clm_src", "l_clm_tgt"):
         a, b = getattr(whole, field), getattr(sharded, field)
         assert type(b) is float
@@ -1146,29 +1148,75 @@ def test_a_one_row_batch_never_shards(shards, monkeypatch):
     model, opt, (pb, _, _) = shard_step("baseline")
     one_row = dataclasses.replace(pb, **{f: getattr(pb, f)[:1] for f in
                                          ("src", "src_mask", "tgt_in", "tgt_labels", "tgt_mask")})
-    assert train_step(model, one_row, None, None, opt).shards == 1
+    assert train_step(model, one_row, None, None, opt).split == "whole"
 
 
-def test_shard_count_keeps_desk_steps_whole_and_splits_long_ones(monkeypatch):
-    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+def _step_batch(rows, src, tgt):
+    """A parallel batch whose id rows are distinct, so shards can be traced."""
+    src_ids, tgt_ids = (np.arange(rows * w, dtype=np.int64).reshape(rows, w) for w in (src, tgt))
+    return ParallelBatch(src_ids, np.ones((rows, src)), tgt_ids, tgt_ids, np.ones((rows, tgt)),
+                         "xx", "yy", 0)
 
-    def batch(width, rows=16):
-        ids = np.ones((rows, width), dtype=np.int64)
-        return ParallelBatch(ids, np.ones((rows, width)), ids, ids, np.ones((rows, width)),
-                             "xx", "yy", 0)
 
-    def mono(width, rows=16):
-        ids = np.ones((rows, width), dtype=np.int64)
-        return MonoBatch(ids, ids, np.ones((rows, width)), "xx", 0, 2)
+def _step_mono(rows, width):
+    ids = np.arange(rows * width, dtype=np.int64).reshape(rows, width)
+    return MonoBatch(ids, ids, np.ones((rows, width)), "xx", 0, 2)
 
-    # the widest desk multitask step: 3-8 token sentences, framed
-    assert training.shard_count((batch(10), mono(9), mono(9))) == 1
-    # the narrowest 40-60 token baseline step
-    assert training.shard_count((batch(42), None, None)) == 2
-    monkeypatch.setattr(training, "_usable_cores", lambda: 64)
-    assert training.shard_count((batch(10), mono(9), mono(9))) == 1
-    assert training.shard_count((batch(600, rows=3), None, None)) == 3  # capped by the rows
-    assert training.shard_count((None, None, None)) == 1
+
+# A step's shape: (rows, framed source width, framed target width) of its
+# parallel batch, then (rows, framed width) of each monolingual batch; None
+# for a batch the step lacks.
+DESK_MTL = ((16, 10, 10), (16, 9), (16, 9))  # the widest desk step: 3-8 token sentences
+NARROW_DESK_MTL = ((16, 7, 6), (16, 6), (16, 6))  # narrower than any desk step seen (406)
+SMOKE_MTL = ((8, 8, 7), (8, 7), (8, 7))  # the widest smoke step: 3-6 token sentences, B=8
+WIDE = ((16, 60, 60), (16, 60), (16, 60))
+
+STEP_SHAPES = {  # case: d_model, shape, usable cores, row shards on, positions, kind, parts
+    "desk-mtl": (64, DESK_MTL, 2, True, 608, "tasks", 2),
+    "desk-mtl-64-cores": (64, DESK_MTL, 64, True, 608, "tasks", 2),
+    "narrow-desk-mtl": (64, NARROW_DESK_MTL, 2, True, 400, "tasks", 2),
+    "smoke-mtl": (32, SMOKE_MTL, 2, True, 232, "whole", 1),
+    "smoke-model-narrow-desk-step": (32, NARROW_DESK_MTL, 2, True, 400, "whole", 1),
+    "desk-mtl-one-core": (64, NARROW_DESK_MTL, 1, True, 400, "whole", 1),
+    "baseline-40-60-tokens": (64, ((16, 42, 42), None, None), 2, True, 1344, "rows", 2),
+    "three-rows-64-cores": (64, ((3, 600, 600), None, None), 64, True, 3600, "rows", 3),
+    "clm-only-above-the-shard-threshold": (64, (None, *WIDE[1:]), 2, True, 1920, "rows", 2),
+    "no-batches": (64, (None, None, None), 2, True, 0, "whole", 1),
+    # a step kept out of row shards splits by task only when it carries both tasks
+    "wide-translation-only-no-row-shards": (64, (WIDE[0], None, None), 2, False, 1920,
+                                            "whole", 1),
+    "wide-clm-only-no-row-shards": (64, (None, *WIDE[1:]), 2, False, 1920, "whole", 1),
+    "wide-joint-one-clm-side-no-row-shards": (64, (*WIDE[:2], None), 2, False, 2880,
+                                             "tasks", 2),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_SHAPES))
+def test_step_parts_over_the_benchmarks_step_shapes(case, monkeypatch):
+    d_model, shape, cores, row_shards, positions, kind, n_parts = STEP_SHAPES[case]
+    monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+    if not row_shards:
+        monkeypatch.setattr(training, "SHARD_MIN_POSITIONS", 10**9)
+    batches = tuple(None if dims is None else make(*dims)
+                    for make, dims in zip((_step_batch, _step_mono, _step_mono), shape))
+    assert training._positions([b for b in batches if b is not None]) == positions
+    model = SimpleNamespace(config=SimpleNamespace(d_model=d_model))
+    got, parts = training.step_parts(model, batches)
+    assert (got, len(parts)) == (kind, n_parts)
+    pb, sb, tb = batches
+    expected = {"whole": [(pb, sb, tb)], "tasks": [(pb, None, None), (None, sb, tb)]}.get(kind)
+    if expected is not None:  # the step's own batches, not copies
+        assert [[id(b) for b in part] for part in parts] == [[id(b) for b in part]
+                                                             for part in expected]
+        return
+    for i, b in enumerate(batches):  # near-equal contiguous shards of every batch, in order
+        shards = [part[i] for part in parts]
+        if b is None:
+            assert shards == [None] * n_parts
+            continue
+        ids = "src" if i == 0 else "dec_in"
+        assert max(len(x) for x in shards) - min(len(x) for x in shards) <= 1
+        assert np.array_equal(np.concatenate([getattr(x, ids) for x in shards]), getattr(b, ids))
 
 
 def test_train_loop_counts_sharded_steps(shards):
@@ -1177,8 +1225,7 @@ def test_train_loop_counts_sharded_steps(shards):
     whole = train_loop(tiny_model(vocab, seed=2), data, tc, OptimizerConfig(lr=1e-3))
     shards(2)
     sharded = train_loop(tiny_model(vocab, seed=2), data, tc, OptimizerConfig(lr=1e-3))
-    assert (whole.sharded_steps, sharded.sharded_steps) == (0, 4)
-    assert (whole.task_split_steps, sharded.task_split_steps) == (0, 0)
+    assert (whole.split_steps, sharded.split_steps) == ({"whole": 4}, {"rows": 4})
     for a, b in zip(whole.log_lines, sharded.log_lines):
         values = [float(v) for v in b.split("\t")]  # plain floats, as a metrics.tsv line
         assert values == pytest.approx([float(v) for v in a.split("\t")], rel=1e-9)
@@ -1204,7 +1251,7 @@ def test_task_split_step_matches_the_whole_step(monkeypatch):
     split = train_step(model, *batches, opt)
     split_grads = step_grads(model)
 
-    assert (whole.shards, whole.task_split, split.shards, split.task_split) == (1, False, 1, True)
+    assert (whole.split, split.split) == ("whole", "tasks")
     for field in ("l_t", "l_clm_src", "l_clm_tgt"):
         a, b = getattr(whole, field), getattr(split, field)
         assert type(b) is float
@@ -1238,7 +1285,7 @@ def test_task_split_steps_are_bit_identical_threaded_or_serial(task_split, monke
             bds = [train_step(model, *batches, opt) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
-        assert all(bd.task_split for bd in bds)
+        assert all(bd.split == "tasks" for bd in bds)
         runs.append(([(bd.l_t, bd.l_clm_src, bd.l_clm_tgt, bd.loss.item()) for bd in bds],
                      step_grads(model), {n: p.data.copy() for n, p in model.named_parameters()}))
         if pool is None:
@@ -1311,37 +1358,6 @@ def test_a_non_finite_gradient_in_the_clm_half_aborts_the_step(task_split, monke
     assert opt.t == 0
 
 
-def test_splits_by_task_keeps_smoke_and_single_task_steps_whole(monkeypatch):
-    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
-    smoke, desk = (SimpleNamespace(config=SimpleNamespace(d_model=d)) for d in (32, 64))
-
-    def batch(rows, src, tgt):
-        return ParallelBatch(np.ones((rows, src), dtype=np.int64), np.ones((rows, src)),
-                             np.ones((rows, tgt), dtype=np.int64),
-                             np.ones((rows, tgt), dtype=np.int64), np.ones((rows, tgt)),
-                             "xx", "yy", 0)
-
-    def mono(rows, width):
-        ids = np.ones((rows, width), dtype=np.int64)
-        return MonoBatch(ids, ids, np.ones((rows, width)), "xx", 0, 2)
-
-    # the widest smoke step (3-6 token sentences, B=8): 232 positions
-    widest_smoke = (batch(8, 8, 7), mono(8, 7), mono(8, 7))
-    assert not training.splits_by_task(smoke, widest_smoke)
-    # a desk step (3-8 tokens, B=16) narrower than any seen (406 positions)
-    narrow_desk = (batch(16, 7, 6), mono(16, 6), mono(16, 6))
-    assert training._positions(narrow_desk) == 400
-    assert training.splits_by_task(desk, narrow_desk)
-    assert not training.splits_by_task(smoke, narrow_desk)
-    # a single-task step carries one task only, however large
-    wide = (batch(16, 60, 60), mono(16, 60), mono(16, 60))
-    assert not training.splits_by_task(desk, (wide[0], None, None))
-    assert not training.splits_by_task(desk, (None, *wide[1:]))
-    assert training.splits_by_task(desk, (wide[0], wide[1], None))
-    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
-    assert not training.splits_by_task(desk, narrow_desk)
-
-
 def test_smoke_steps_never_start_a_thread(monkeypatch):
     def no_pool():
         raise AssertionError("a step started the worker threads")
@@ -1354,19 +1370,19 @@ def test_smoke_steps_never_start_a_thread(monkeypatch):
                         multitask=True)
     tc = TrainConfig(steps=4, batch_size=8, log_interval=4)
     result = train_loop(model, data, tc, OptimizerConfig())
-    assert (result.sharded_steps, result.task_split_steps) == (0, 0)
+    assert result.split_steps == {"whole": 4}
 
 
 def test_the_worker_pool_caps_blas_at_one_thread(task_split):
     if training._blas_thread_api() is None:
         pytest.skip("no OpenBLAS thread control found in this numpy")
     model, opt, batches = shard_step("joint")
-    assert train_step(model, *batches, opt).task_split
+    assert train_step(model, *batches, opt).split == "tasks"
     assert training._blas_thread_api()[1]() == 1
     vocab, data = toy_data()
     result = train_loop(tiny_model(vocab), data, TrainConfig(steps=2, batch_size=4),
                         OptimizerConfig())
-    assert (result.task_split_steps, result.blas_threads) == (2, 1)
+    assert (result.split_steps, result.blas_threads) == ({"tasks": 2}, 1)
 
 
 def test_the_worker_pool_warns_once_when_it_cannot_cap_blas(monkeypatch, caplog):
@@ -1427,7 +1443,7 @@ def test_weight_zero_mtl_is_the_baseline_at_smoke_shape(tmp_path):
                          n_dec_layers=2, d_ff=64, max_len=24)
     tc = TrainConfig(steps=12, batch_size=8, log_interval=1, clm_loss_weight=0.0)
     result = assert_weight_zero_mtl_is_the_baseline(data, config, tc)
-    assert (result.sharded_steps, result.task_split_steps) == (0, 0)
+    assert result.split_steps == {"whole": 12}
 
 
 def test_weight_zero_mtl_is_the_baseline_at_desk_shape(tmp_path, monkeypatch):
@@ -1436,7 +1452,7 @@ def test_weight_zero_mtl_is_the_baseline_at_desk_shape(tmp_path, monkeypatch):
     config = ModelConfig(vocab_size=len(data.vocabulary), seed=1)
     tc = TrainConfig(steps=4, batch_size=16, log_interval=1, clm_loss_weight=0.0)
     result = assert_weight_zero_mtl_is_the_baseline(data, config, tc)
-    assert (result.sharded_steps, result.task_split_steps) == (0, 4)
+    assert result.split_steps == {"tasks": 4}
 
 
 @pytest.mark.parametrize("kind, multitask, lengths", [
@@ -1462,8 +1478,8 @@ def test_a_warm_step_walks_the_parameter_registry_once(tmp_path, monkeypatch, ki
 
     monkeypatch.setattr(Transformer, "named_parameters", counted)
     bd = train_step(model, *batches, opt)  # the first step of a split kind makes its replica
-    assert (bd.shards, bd.task_split) == {"task split": (1, True), "row shards": (2, False),
-                                          "whole": (1, False)}[kind]
+    assert (bd.split, len(training.step_parts(model, batches)[1])) == {
+        "task split": ("tasks", 2), "row shards": ("rows", 2), "whole": ("whole", 1)}[kind]
     walks.clear()
     for _ in range(3):
         train_step(model, *batches, opt)
