@@ -11,8 +11,9 @@ import logging
 import sys
 from pathlib import Path
 
-from minimt.config import ConfigError, DecodeSection, EvaluationSection, load_config
+from minimt.config import ConfigError, EvaluationSection, load_config
 from minimt.data import read_lines
+from minimt.decoding import DecodeSection
 from minimt.experiment import (
     ExperimentRunner,
     StageFailure,
@@ -44,13 +45,15 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     config = _load_experiment_config(args)
     runner = ExperimentRunner(config)
-    runner.prepare()
-    if args.mode == "baseline" and config.data.mono_files:
-        logger.warning("baseline mode ignores the configured monolingual corpora")
+    if args.direction and args.direction not in config.directions:
+        raise ConfigError(f"direction {args.direction!r} is not in the config's directions")
     directions = [args.direction] if args.direction else config.directions
+    if args.mode == "mtl":
+        runner.check_mono_files()
+    elif config.data.mono_files:
+        logger.warning("baseline mode ignores the configured monolingual corpora")
+    runner.prepare()
     for direction in directions:
-        if direction not in config.directions:
-            raise ConfigError(f"direction {direction!r} is not in the config's directions")
         ckpt = runner.train(direction, args.mode)
         print(f"train: {direction} [{args.mode}] -> {ckpt}")
     return 0
@@ -94,16 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="build vocabulary and split manifests")
     p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", type=Path)
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train one regime for the configured direction(s)")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--mode", required=True, choices=["baseline", "mtl"])
     p.add_argument("--direction", help="e.g. aa->bb; defaults to every configured direction")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", type=Path)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("translate", help="beam-decode a file of source sentences")
@@ -131,10 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full baseline-vs-multitask comparison")
     p.add_argument("--config", type=Path)
     p.add_argument("--preset", choices=["smoke", "desk", "paper-faithful"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", type=Path)
     p.set_defaults(fn=cmd_experiment)
 
+    # each command that reads a config file can override its seed and out_dir
+    for name in ("prepare", "train", "experiment"):
+        sub.choices[name].add_argument("--seed", type=int)
+        sub.choices[name].add_argument("--out-dir", type=Path)
     return parser
 
 

@@ -1,22 +1,30 @@
-"""Experiment configuration: a flat JSON file mirrored by dataclasses.
+"""Experiment configuration: a JSON file of sections mirrored by dataclasses.
 
-Unknown keys are errors, so typos never silently fall back to defaults, and
-out-of-range values are rejected when the file loads. A loaded config
-round-trips through ``to_dict``/``save`` losslessly. ``runtime_config``
-turns a section into the dataclass a module consumes.
+The model and decode sections are ``model.ModelSection`` and
+``decoding.DecodeSection``, the bases of the runtime configs; the optimizer
+section is ``training.OptimizerConfig``; the rest are declared here. Each
+section checks its own values in ``__post_init__``, ``ExperimentConfig`` the
+rules that span sections. Loading reads nesting and field types from the
+annotations, so an unknown key or a wrong type (an ``int`` takes only a JSON
+integer) fails at load. A loaded config round-trips through
+``to_dict``/``save`` losslessly; ``runtime_config`` turns a section into the
+dataclass a module consumes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from minimt.data import TOKENIZE_MODES, SplitConfig, Vocabulary, write_text_atomically
-from minimt.decoding import DecodeConfig
+from minimt.data import TOKENIZE_MODES, Vocabulary, write_text_atomically
+from minimt.decoding import DecodeConfig, DecodeSection
 from minimt.evaluation import check_bleu_settings
-from minimt.model import ModelConfig
+from minimt.model import ModelSection
 from minimt.training import OptimizerConfig, TrainConfig
 
 
@@ -24,19 +32,42 @@ class ConfigError(ValueError):
     pass
 
 
+def _conforms(value, hint) -> bool:
+    """Whether JSON ``value`` has type ``hint``; an int is no float or bool, a float any number."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_conforms(k, args[0]) and _conforms(v, args[1])
+                                               for k, v in value.items())
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # evaluating the annotations is slow
+
+
 def _from_dict(cls, payload, path):
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object, got {type(payload).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - names
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(fields)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+    hints = _type_hints(cls)
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in payload:
-            value = payload[f.name]
-            nested = _SECTION_TYPES.get((cls, f.name))
-            kwargs[f.name] = _from_dict(nested, value, f"{path}.{f.name}") if nested else value
+    for name in [n for n in fields if n in payload]:
+        value, hint = payload[name], hints[name]
+        if dataclasses.is_dataclass(hint):
+            value = _from_dict(hint, value, f"{path}.{name}")
+        elif not _conforms(value, hint):
+            # a top-level field names itself, a section's field its section
+            where = f"{path}.{name}:" if path == "config" else f"{path}: {name}"
+            raise ConfigError(f"{where} must be of type {fields[name].type}, got {value!r}")
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -74,27 +105,33 @@ class DataSection:
     tgt_lang: str = "bb"
     parallel_src_file: str = ""
     parallel_tgt_file: str = ""
-    mono_files: dict = field(default_factory=dict)  # language -> path
-    parallel_split: list = field(default_factory=lambda: [80, 10, 10])
-    mono_split: list = field(default_factory=lambda: [50, 0, 0])
+    mono_files: dict[str, str] = field(default_factory=dict)  # language -> path
+    parallel_split: list[int] = field(default_factory=lambda: [80, 10, 10])
+    mono_split: list[int] = field(default_factory=lambda: [50, 0, 0])
     tokenize_mode: str = "word"
     min_count: int = 1
 
-
-@dataclass
-class ModelSection:
-    d_model: int = 64
-    n_heads: int = 4
-    n_enc_layers: int = 4
-    n_dec_layers: int = 4
-    d_ff: int = 256
-    max_len: int = 64
-    dropout_rate: float = 0.0
-    tie_projections: bool = True
+    def __post_init__(self):
+        if self.tokenize_mode not in TOKENIZE_MODES:
+            raise ValueError(f"tokenize_mode must be one of {list(TOKENIZE_MODES)}, "
+                             f"got {self.tokenize_mode!r}")
+        for name in ("parallel_split", "mono_split"):
+            sizes = getattr(self, name)
+            if len(sizes) != 3 or min(sizes) < 0:
+                raise ValueError(f"{name} must be three integers >= 0 "
+                                 f"(train, validation, test), got {sizes!r}")
+        # training reads a train split and evaluation a test split; validation may stay empty
+        if not (self.parallel_split[0] and self.parallel_split[2]):
+            raise ValueError(f"parallel_split needs train and test sizes > 0, "
+                             f"got {self.parallel_split!r}")
+        if self.mono_files and not self.mono_split[0]:
+            raise ValueError(f"mono_split needs a train size > 0 when mono_files "
+                             f"names a corpus, got {self.mono_split!r}")
 
 
 @dataclass
 class TrainSection:
+    # the runner's TrainConfig, less max_len and seed, plus two regime settings
     steps: int | None = 300
     epochs: int | None = None
     batch_size: int = 16
@@ -106,13 +143,11 @@ class TrainSection:
     clip_norm: float | None = None
     freeze: str = "first_half"  # or "none"
 
-
-@dataclass
-class DecodeSection:
-    beam_size: int = 2
-    length_penalty: float = 1.2
-    max_decode_len: int = 32
-    penalty_form: str = "pow"
+    def __post_init__(self):
+        if self.freeze not in ("first_half", "none"):
+            raise ValueError(f"freeze must be 'first_half' or 'none', got {self.freeze!r}")
+        if self.mtl_batch_size is not None and self.mtl_batch_size < 1:
+            raise ValueError(f"mtl_batch_size must be >= 1, got {self.mtl_batch_size}")
 
 
 @dataclass
@@ -121,12 +156,17 @@ class EvaluationSection:
     smoothing_k: float = 5.0
     aggregate: str = "corpus"  # or "macro"
 
+    def __post_init__(self):
+        if self.aggregate not in ("corpus", "macro"):
+            raise ValueError(f"aggregate must be 'corpus' or 'macro', got {self.aggregate!r}")
+        check_bleu_settings(self.max_n, self.smoothing_k)
+
 
 @dataclass
 class ExperimentConfig:
     seed: int = 0
     out_dir: str = "runs/experiment"
-    directions: list = field(default_factory=list)  # e.g. ["aa->bb", "bb->aa"]
+    directions: list[str] = field(default_factory=list)  # e.g. ["aa->bb", "bb->aa"]
     data: DataSection = field(default_factory=DataSection)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainSection = field(default_factory=TrainSection)
@@ -135,12 +175,8 @@ class ExperimentConfig:
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"config.seed: must be an integer >= 0, got {self.seed!r}")
-        if not (isinstance(self.directions, list)
-                and all(isinstance(d, str) for d in self.directions)):
-            raise ConfigError(f"config.directions: must be a list of '<src>-><tgt>' strings, "
-                              f"got {self.directions!r}")
         if not self.directions:
             self.directions = [f"{self.data.src_lang}->{self.data.tgt_lang}"]
         langs = {self.data.src_lang, self.data.tgt_lang}
@@ -148,45 +184,11 @@ class ExperimentConfig:
             a, sep, b = d.partition("->")
             if not sep or a not in langs or b not in langs or a == b:
                 raise ConfigError(f"direction {d!r} must be '<src>-><tgt>' over languages {sorted(langs)}")
-        if self.train.freeze not in ("first_half", "none"):
-            raise ConfigError(f"config.train: freeze must be 'first_half' or 'none', "
-                              f"got {self.train.freeze!r}")
-        if self.evaluation.aggregate not in ("corpus", "macro"):
-            raise ConfigError(f"config.evaluation: aggregate must be 'corpus' or 'macro', "
-                              f"got {self.evaluation.aggregate!r}")
+        # as the runner builds it, so a bad value fails here and not mid-experiment
         try:
-            check_bleu_settings(self.evaluation.max_n, self.evaluation.smoothing_k)
+            runtime_config(TrainConfig, self.train, max_len=self.model.max_len, seed=self.seed)
         except (TypeError, ValueError) as e:
-            raise ConfigError(f"config.evaluation: {e}") from None
-        data = self.data
-        if data.tokenize_mode not in TOKENIZE_MODES:
-            raise ConfigError(f"config.data: tokenize_mode must be one of {list(TOKENIZE_MODES)}, "
-                              f"got {data.tokenize_mode!r}")
-        for name in ("parallel_split", "mono_split"):
-            sizes = getattr(data, name)
-            try:
-                SplitConfig(*sizes, seed=self.seed)  # as prepare builds it, so 4 sizes fail too
-            except (TypeError, ValueError):
-                raise ConfigError(f"config.data: {name} must be three integers >= 0 "
-                                  f"(train, validation, test), got {sizes!r}") from None
-        # training reads a train split and evaluation a test split; validation may stay empty
-        if not (data.parallel_split[0] and data.parallel_split[2]):
-            raise ConfigError(f"config.data: parallel_split needs train and test sizes > 0, "
-                              f"got {data.parallel_split!r}")
-        if data.mono_files and not data.mono_split[0]:
-            raise ConfigError(f"config.data: mono_split needs a train size > 0 when mono_files "
-                              f"names a corpus, got {data.mono_split!r}")
-        # build each runtime config once, with placeholders for the values
-        # the runner derives, so a bad value fails here and not mid-experiment
-        checks = [("model", ModelConfig, {"vocab_size": 1}), ("train", TrainConfig, {}),
-                  ("decode", DecodeConfig, {"eos_id": 0, "start_id": 0})]
-        if self.train.mtl_batch_size is not None:
-            checks.append(("train", TrainConfig, {"batch_size": self.train.mtl_batch_size}))
-        for section, cls, placeholders in checks:
-            try:
-                runtime_config(cls, getattr(self, section), **placeholders)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"config.{section}: {e}") from None
+            raise ConfigError(f"config.train: {e}") from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -213,16 +215,6 @@ class ExperimentConfig:
     @property
     def languages(self):
         return sorted({self.data.src_lang, self.data.tgt_lang})
-
-
-_SECTION_TYPES = {
-    (ExperimentConfig, "data"): DataSection,
-    (ExperimentConfig, "model"): ModelSection,
-    (ExperimentConfig, "train"): TrainSection,
-    (ExperimentConfig, "optimizer"): OptimizerConfig,
-    (ExperimentConfig, "decode"): DecodeSection,
-    (ExperimentConfig, "evaluation"): EvaluationSection,
-}
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:

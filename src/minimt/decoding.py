@@ -18,7 +18,7 @@ settled. ``search`` and ``beam_search`` are its one-source calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from minimt.model import DecoderCache
 
 
 @dataclass
-class DecodeConfig:
-    eos_id: int
-    start_id: int
+class DecodeSection:
+    """A config's decode section; ``DecodeConfig`` adds the derived ids."""
+
     beam_size: int = 2
     length_penalty: float = 1.2
     max_decode_len: int = 32
@@ -44,7 +44,14 @@ class DecodeConfig:
         if not np.isfinite(self.length_penalty):
             raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
         if self.penalty_form not in ("pow", "gnmt"):
-            raise ValueError(f"unknown penalty form {self.penalty_form!r}")
+            raise ValueError(f"penalty_form must be 'pow' or 'gnmt', got {self.penalty_form!r}")
+
+
+@dataclass
+class DecodeConfig(DecodeSection):
+    _: KW_ONLY
+    eos_id: int
+    start_id: int
 
 
 @dataclass

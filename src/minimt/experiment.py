@@ -231,6 +231,13 @@ class ExperimentRunner:
             return a, b, data.parallel_src_file, data.parallel_tgt_file
         return a, b, data.parallel_tgt_file, data.parallel_src_file
 
+    def check_mono_files(self) -> None:
+        """Raise a ConfigError unless data.mono_files names both languages' corpora."""
+        missing = sorted(set(self.config.languages) - self.config.data.mono_files.keys())
+        if missing:
+            raise ConfigError(f"multitask training needs monolingual corpora for {missing}; "
+                              "set data.mono_files")
+
     def _run_dir(self, direction: str, regime: str) -> Path:
         return self.out / _dir_name(direction) / regime
 
@@ -251,12 +258,6 @@ class ExperimentRunner:
 
         def build():
             src_lang, tgt_lang, src_file, tgt_file = self._direction_files(direction)
-            if regime == "mtl":
-                missing = [l for l in (src_lang, tgt_lang) if l not in config.data.mono_files]
-                if missing:
-                    raise ConfigError(
-                        f"multitask training needs monolingual corpora for {missing}; "
-                        "set data.mono_files")
             run_dir.mkdir(parents=True, exist_ok=True)
             vocab = self._load_vocab()
             src, tgt = self._splits("parallel", src_file), self._splits("parallel", tgt_file)
@@ -266,6 +267,7 @@ class ExperimentRunner:
                 for split in ("train", "validation")})
             mono = {}
             if regime == "mtl":
+                self.check_mono_files()
                 for lang in (src_lang, tgt_lang):
                     lines = self._splits(f"mono_{lang}", config.data.mono_files[lang])["train"]
                     mono[lang] = MonolingualCorpus(lang, {"train": [encode(line, vocab, lang)
@@ -334,6 +336,7 @@ class ExperimentRunner:
     # --- the whole protocol -----------------------------------------------------------
 
     def run(self) -> ComparisonReport:
+        self.check_mono_files()
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest["config_fingerprint"] = config_fingerprint(self.config.to_dict())
         self.manifest["seed"] = self.config.seed
@@ -363,10 +366,11 @@ def translate_file(checkpoint, vocab_path, lines, output, decode_settings) -> No
     stream into a temporary file that replaces ``output`` when done."""
     ckpt = load_checkpoint(checkpoint, params_only=True)
     meta = ckpt.meta
-    if not meta or "model_config" not in meta:
-        raise ConfigError(f"{checkpoint}: checkpoint carries no translation metadata")
-    vocab = Vocabulary.load(vocab_path, mode=meta.get("tokenize_mode", "word"))
-    if meta.get("vocab_sha") and _sha256_file(vocab_path) != meta["vocab_sha"]:
+    missing = [key for key in ("model_config", "vocab_sha", "tokenize_mode") if key not in meta]
+    if missing:
+        raise ConfigError(f"{checkpoint}: checkpoint carries no translation metadata {missing}")
+    vocab = Vocabulary.load(vocab_path, mode=meta["tokenize_mode"])
+    if _sha256_file(vocab_path) != meta["vocab_sha"]:
         raise ConfigError(f"{vocab_path}: vocabulary does not match the checkpoint fingerprint")
     model = init_params(ModelConfig(**meta["model_config"]), multitask=meta["multitask"])
     restore_checkpoint(model, None, ckpt)
@@ -409,65 +413,48 @@ def translate_lines(model, lines, vocab: Vocabulary, src_lang: str, decode_cfg) 
 
 
 def make_preset(name: str, out_dir, seed: int = 0) -> ExperimentConfig:
-    """Build one of the shipped experiment presets.
+    """Build one of the shipped experiment presets. A preset states only the
+    fields it sets apart from the config's defaults.
 
     smoke and desk generate their own synthetic bilingual fixture under
-    <out_dir>/data; paper-faithful mirrors the full-scale protocol (splits,
-    batch asymmetry, constant 1e-5 learning rate, 12+12 layers, freeze the
-    first half) and expects real corpus paths to be filled in.
+    <out_dir>/data and run both directions; desk keeps the default model,
+    training and optimizer. paper-faithful mirrors the full-scale protocol
+    (splits, batch asymmetry, constant 1e-5 learning rate, 12+12 layers,
+    freeze the first half) and expects real corpus paths to be filled in.
     """
-    ExperimentConfig(seed=seed)  # checks the seed as a loaded config does, before any write
+    config_from_dict({"seed": seed})  # checks the seed as a loaded config does, before any write
     out_dir = str(out_dir)
-    if name == "smoke":
-        files = synthetic.generate_pair(Path(out_dir) / "data", n_parallel=140, n_mono=80,
-                                        seed=seed, vocab_size=20, min_len=3, max_len=6)
-        payload = {
+    if name == "paper-faithful":
+        return config_from_dict({
             "seed": seed,
             "out_dir": out_dir,
-            "directions": ["aa->bb", "bb->aa"],
-            "data": {"src_lang": "aa", "tgt_lang": "bb",
-                     "parallel_src_file": files["parallel_src"],
-                     "parallel_tgt_file": files["parallel_tgt"],
-                     "mono_files": {"aa": files["mono_aa"], "bb": files["mono_bb"]},
-                     "parallel_split": [120, 10, 10], "mono_split": [80, 0, 0]},
+            "data": {"src_lang": "mr", "tgt_lang": "hi", "parallel_split": [100_000, 20_000, 5_000],
+                     "mono_split": [70_000, 0, 0]},
+            "model": {"d_model": 1024, "n_heads": 16, "n_enc_layers": 12, "n_dec_layers": 12,
+                      "d_ff": 4096, "max_len": 256},
+            "train": {"steps": None, "epochs": 1, "mtl_batch_size": 2, "log_interval": 500},
+            "optimizer": {"lr": PAPER_LR},
+            "decode": {"max_decode_len": 128},
+        })
+    if name == "smoke":
+        corpus = {"n_parallel": 140, "n_mono": 80, "vocab_size": 20, "max_len": 6}
+        sections = {
+            "data": {"parallel_split": [120, 10, 10], "mono_split": [80, 0, 0]},
             "model": {"d_model": 32, "n_heads": 2, "n_enc_layers": 2, "n_dec_layers": 2,
                       "d_ff": 64, "max_len": 24},
             "train": {"steps": 120, "batch_size": 8, "log_interval": 20},
             "optimizer": {"lr": 1e-3},
-            "decode": {"beam_size": 2, "length_penalty": 1.2, "max_decode_len": 12},
+            "decode": {"max_decode_len": 12},
         }
     elif name == "desk":
-        files = synthetic.generate_pair(Path(out_dir) / "data", n_parallel=260, n_mono=150,
-                                        seed=seed, vocab_size=30, min_len=3, max_len=8)
-        payload = {
-            "seed": seed,
-            "out_dir": out_dir,
-            "directions": ["aa->bb", "bb->aa"],
-            "data": {"src_lang": "aa", "tgt_lang": "bb",
-                     "parallel_src_file": files["parallel_src"],
-                     "parallel_tgt_file": files["parallel_tgt"],
-                     "mono_files": {"aa": files["mono_aa"], "bb": files["mono_bb"]},
-                     "parallel_split": [200, 30, 30], "mono_split": [150, 0, 0]},
-            "model": {},   # desk defaults: d_model 64, 4 heads, 4+4 layers, d_ff 256
-            "train": {"steps": 300, "batch_size": 16, "log_interval": 50},
-            "optimizer": {"lr": 3e-4},
-            "decode": {"beam_size": 2, "length_penalty": 1.2, "max_decode_len": 24},
-        }
-    elif name == "paper-faithful":
-        payload = {
-            "seed": seed,
-            "out_dir": out_dir,
-            "data": {"src_lang": "mr", "tgt_lang": "hi",
-                     "parallel_src_file": "", "parallel_tgt_file": "", "mono_files": {},
-                     "parallel_split": [100_000, 20_000, 5_000],
-                     "mono_split": [70_000, 0, 0]},
-            "model": {"d_model": 1024, "n_heads": 16, "n_enc_layers": 12, "n_dec_layers": 12,
-                      "d_ff": 4096, "max_len": 256},
-            "train": {"steps": None, "epochs": 1, "batch_size": 16, "mtl_batch_size": 2,
-                      "log_interval": 500},
-            "optimizer": {"lr": PAPER_LR},
-            "decode": {"beam_size": 2, "length_penalty": 1.2, "max_decode_len": 128},
-        }
+        corpus = {"n_parallel": 260, "n_mono": 150, "vocab_size": 30, "max_len": 8}
+        sections = {"data": {"parallel_split": [200, 30, 30], "mono_split": [150, 0, 0]},
+                    "decode": {"max_decode_len": 24}}
     else:
         raise ConfigError(f"unknown preset {name!r}; choose smoke, desk or paper-faithful")
-    return config_from_dict(payload)
+    files = synthetic.generate_pair(Path(out_dir) / "data", seed=seed, **corpus)
+    sections["data"].update(parallel_src_file=files["parallel_src"],
+                            parallel_tgt_file=files["parallel_tgt"],
+                            mono_files={"aa": files["mono_aa"], "bb": files["mono_bb"]})
+    return config_from_dict({"seed": seed, "out_dir": out_dir, "directions": ["aa->bb", "bb->aa"],
+                             **sections})

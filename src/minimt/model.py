@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from minimt.data import ParallelBatch, stack_padded, token_budget
 
 
 @dataclass
-class ModelConfig:
-    vocab_size: int
+class ModelSection:
+    """A config's model section; ``ModelConfig`` adds the derived fields."""
+
     d_model: int = 64
     n_heads: int = 4
     n_enc_layers: int = 4
@@ -36,12 +37,11 @@ class ModelConfig:
     d_ff: int = 256
     max_len: int = 64
     dropout_rate: float = 0.0
-    seed: int = 0
     tie_projections: bool = True
 
     def __post_init__(self):
-        if min(self.vocab_size, self.d_model, self.n_heads, self.d_ff) < 1:
-            raise ValueError("vocab_size, d_model, n_heads and d_ff must all be >= 1")
+        if min(self.d_model, self.n_heads, self.d_ff) < 1:
+            raise ValueError("d_model, n_heads and d_ff must all be >= 1")
         token_budget(self.max_len)  # raises unless a framed sentence fits a token
         if self.n_enc_layers < 0 or self.n_dec_layers < 0:
             raise ValueError("layer counts must be >= 0")
@@ -49,6 +49,18 @@ class ModelConfig:
             raise ValueError(f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+
+
+@dataclass
+class ModelConfig(ModelSection):
+    _: KW_ONLY
+    vocab_size: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.vocab_size < 1:
+            raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
+        super().__post_init__()
 
 
 def parameter_count(config: ModelConfig, multitask: bool) -> int:

@@ -8,12 +8,13 @@ log-probabilities within 1e-12.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from minimt import decoding, experiment
-from minimt.config import DecodeSection, decode_config
+from minimt.config import ConfigError, DecodeSection, decode_config
 from minimt.data import build_vocab, decode, encode, frame_source, token_budget
 from minimt.decoding import (
     DecodeConfig,
@@ -125,7 +126,9 @@ def test_chunk_size_follows_the_model_and_the_budget(monkeypatch):
 
 # --- translate_file ----------------------------------------------------------------------
 
-def write_checkpoint(tmp_path, shape, multitask):
+def write_checkpoint(tmp_path, shape, multitask, drop=()):
+    """A checkpoint with the meta the translate stage writes, less the
+    ``drop`` keys."""
     words = [f"ka{i}" for i in range(12)] + [f"zo{i}" for i in range(12)]
     vocab = build_vocab([" ".join(words)], languages=["aa", "bb"])
     vocab_path = tmp_path / "vocab.txt"
@@ -133,7 +136,9 @@ def write_checkpoint(tmp_path, shape, multitask):
     model_cfg = ModelConfig(vocab_size=len(vocab), seed=7, **SHAPES[shape][0])
     model = init_params(model_cfg, multitask=multitask)
     meta = {"src_lang": "aa", "tgt_lang": "bb", "tokenize_mode": "word",
+            "vocab_sha": hashlib.sha256(vocab_path.read_bytes()).hexdigest(),
             "model_config": dataclasses.asdict(model_cfg), "multitask": multitask}
+    meta = {k: v for k, v in meta.items() if k not in drop}
     path = tmp_path / "checkpoint.npz"
     save_checkpoint(path, model, Adam(list(model.named_parameters()), OptimizerConfig()),
                     "fingerprint", 0, {}, meta)
@@ -184,3 +189,12 @@ def test_translate_file_of_no_lines_writes_an_empty_file(tmp_path):
     out.write_text("an earlier translation\n")
     experiment.translate_file(ckpt, vocab_path, [], out, DecodeSection())
     assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("key", ["vocab_sha", "tokenize_mode"])
+def test_translate_file_refuses_a_checkpoint_without_its_vocabulary_metadata(tmp_path, key):
+    ckpt, vocab_path, _, _ = write_checkpoint(tmp_path, "smoke", multitask=False, drop=[key])
+    out = tmp_path / "hyps.txt"
+    with pytest.raises(ConfigError, match=rf"no translation metadata \['{key}'\]"):
+        experiment.translate_file(ckpt, vocab_path, ["ka1 ka2"], out, DecodeSection())
+    assert not out.exists()

@@ -96,6 +96,13 @@ def test_config_rejects_unknown_keys():
     ({"decode": {"length_penalty": float("nan")}}, "decode"),
     ({"decode": {"length_penalty": float("inf")}}, "decode"),
     ({"decode": {"length_penalty": float("-inf")}}, "decode"),
+    ({"decode": {"beam_size": 2.5}}, "decode"),
+    ({"train": {"batch_size": 2.5}}, "train"),
+    ({"train": {"steps": True}}, "train"),
+    ({"model": {"d_model": 32.0, "n_heads": 2}}, "model"),
+    ({"decode": {"max_decode_len": 3.5}}, "decode"),
+    ({"directions": ["aa->bb", 3]}, "directions"),
+    ({"data": {"parallel_split": [80.0, 10, 10]}}, "data"),
 ])
 def test_config_rejects_bad_values(payload, section):
     with pytest.raises(ConfigError, match=rf"^config\.{section}: ") as err:
@@ -103,6 +110,35 @@ def test_config_rejects_bad_values(payload, section):
     bad = payload[section]
     assert any(str(v) in str(err.value)
                for v in (bad.values() if isinstance(bad, dict) else [bad]))  # echoed
+    if isinstance(bad, dict):  # and a section's field named
+        assert any(field in str(err.value) for field in bad)
+
+
+def test_a_float_field_takes_an_integer_and_keeps_it():
+    payload = {"train": {"clm_loss_weight": 0}, "optimizer": {"lr": 1}}
+    config = config_from_dict(payload)
+    assert (config.train.clm_loss_weight, config.optimizer.lr) == (0, 1)
+    assert json.dumps(config.to_dict()["optimizer"]["lr"]) == "1"  # as config.json writes it
+
+
+def test_each_sections_keys_and_defaults_are_pinned():
+    """config.json and every stage fingerprint are JSON of these dicts, so a
+    change to a section's keys or defaults shows up here."""
+    assert config_from_dict({}).to_dict() == {
+        "seed": 0, "out_dir": "runs/experiment", "directions": ["aa->bb"],
+        "data": {"src_lang": "aa", "tgt_lang": "bb", "parallel_src_file": "",
+                 "parallel_tgt_file": "", "mono_files": {}, "parallel_split": [80, 10, 10],
+                 "mono_split": [50, 0, 0], "tokenize_mode": "word", "min_count": 1},
+        "model": {"d_model": 64, "n_heads": 4, "n_enc_layers": 4, "n_dec_layers": 4,
+                  "d_ff": 256, "max_len": 64, "dropout_rate": 0.0, "tie_projections": True},
+        "train": {"steps": 300, "epochs": None, "batch_size": 16, "mtl_batch_size": None,
+                  "clm_batch_size": None, "log_interval": 50, "checkpoint_interval": None,
+                  "clm_loss_weight": 1.0, "clip_norm": None, "freeze": "first_half"},
+        "optimizer": {"lr": 3e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+        "decode": {"beam_size": 2, "length_penalty": 1.2, "max_decode_len": 32,
+                   "penalty_form": "pow"},
+        "evaluation": {"max_n": 4, "smoothing_k": 5.0, "aggregate": "corpus"},
+    }
 
 
 @pytest.mark.parametrize("section, field, literal", [
@@ -323,6 +359,24 @@ def test_train_mtl_requires_mono(tmp_path, capsys):
     config.save(path)
     assert main(["train", "--config", str(path), "--mode", "mtl"]) == 1
     assert "monolingual" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifests").exists()  # checked before prepare
+
+
+def test_an_experiment_without_mono_corpora_fails_before_any_stage(tmp_path):
+    config = fast_smoke(tmp_path / "run", steps=2)
+    config.data.mono_files = {}
+    with pytest.raises(ConfigError, match=r"monolingual corpora for \['aa', 'bb'\]"):
+        ExperimentRunner(config).run()
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_train_checks_the_direction_before_prepare(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    fast_smoke(tmp_path / "run", steps=2).save(path)
+    assert main(["train", "--config", str(path), "--mode", "baseline",
+                 "--direction", "xx->yy"]) == 1
+    assert "direction 'xx->yy' is not in the config's directions" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifests").exists()
 
 
 # --- translate ------------------------------------------------------------------------
