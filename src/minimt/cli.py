@@ -15,6 +15,7 @@ from minimt.config import ConfigError, EvaluationSection, load_config
 from minimt.data import read_lines
 from minimt.decoding import DecodeSection
 from minimt.experiment import (
+    REGIMES,
     ExperimentRunner,
     StageFailure,
     make_preset,
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one regime for the configured direction(s)")
     p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--mode", required=True, choices=["baseline", "mtl"])
+    p.add_argument("--mode", required=True, choices=REGIMES)
     p.add_argument("--direction", help="e.g. aa->bb; defaults to every configured direction")
     p.set_defaults(fn=cmd_train)
 

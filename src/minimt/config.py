@@ -1,14 +1,15 @@
 """Experiment configuration: a JSON file of sections mirrored by dataclasses.
 
-The model and decode sections are ``model.ModelSection`` and
-``decoding.DecodeSection``, the bases of the runtime configs; the optimizer
-section is ``training.OptimizerConfig``; the rest are declared here. Each
-section checks its own values in ``__post_init__``, ``ExperimentConfig`` the
-rules that span sections. Loading reads nesting and field types from the
-annotations, so an unknown key or a wrong type (an ``int`` takes only a JSON
-integer) fails at load. A loaded config round-trips through
-``to_dict``/``save`` losslessly; ``runtime_config`` turns a section into the
-dataclass a module consumes.
+The model, decode and train sections are ``model.ModelSection``,
+``decoding.DecodeSection`` and ``training.TrainSection``, the bases of the
+runtime configs; the train section here adds the runner's two per-regime
+settings. The optimizer section is ``training.OptimizerConfig``; the rest
+are declared here. Each section checks its own values in ``__post_init__``,
+``ExperimentConfig`` the rules that span sections. Loading reads nesting
+and field types from the annotations, so an unknown key or a wrong type (an
+``int`` takes only a JSON integer) fails at load. A loaded config
+round-trips through ``to_dict``/``save`` losslessly; ``runtime_config``
+turns a section into the dataclass a module consumes.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from minimt import training
 from minimt.data import TOKENIZE_MODES, Vocabulary, write_text_atomically
 from minimt.decoding import DecodeConfig, DecodeSection
 from minimt.evaluation import check_bleu_settings
 from minimt.model import ModelSection
-from minimt.training import OptimizerConfig, TrainConfig
+from minimt.training import OptimizerConfig
 
 
 class ConfigError(ValueError):
@@ -130,17 +132,11 @@ class DataSection:
 
 
 @dataclass
-class TrainSection:
-    # the runner's TrainConfig, less max_len and seed, plus two regime settings
-    steps: int | None = 300
-    epochs: int | None = None
-    batch_size: int = 16
+class TrainSection(training.TrainSection):
+    """``training.TrainSection`` plus the two settings the runner resolves
+    per regime: a multitask batch size and the freeze plan."""
+
     mtl_batch_size: int | None = None   # per-regime override (paper-faithful asymmetry)
-    clm_batch_size: int | None = None
-    log_interval: int = 50
-    checkpoint_interval: int | None = None
-    clm_loss_weight: float = 1.0
-    clip_norm: float | None = None
     freeze: str = "first_half"  # or "none"
 
     def __post_init__(self):
@@ -148,6 +144,7 @@ class TrainSection:
             raise ValueError(f"freeze must be 'first_half' or 'none', got {self.freeze!r}")
         if self.mtl_batch_size is not None and self.mtl_batch_size < 1:
             raise ValueError(f"mtl_batch_size must be >= 1, got {self.mtl_batch_size}")
+        super().__post_init__()
 
 
 @dataclass
@@ -184,11 +181,6 @@ class ExperimentConfig:
             a, sep, b = d.partition("->")
             if not sep or a not in langs or b not in langs or a == b:
                 raise ConfigError(f"direction {d!r} must be '<src>-><tgt>' over languages {sorted(langs)}")
-        # as the runner builds it, so a bad value fails here and not mid-experiment
-        try:
-            runtime_config(TrainConfig, self.train, max_len=self.model.max_len, seed=self.seed)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"config.train: {e}") from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

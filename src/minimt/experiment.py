@@ -99,6 +99,10 @@ def _warn_over_length(corpora, mode: str, max_len: int) -> None:
                        "model.max_len=%d; the first is %s:%d", len(over), budget, max_len, *over[0])
 
 
+# the regimes under comparison, in the order a direction runs them and the
+# report compares them: standard finetuning, then multitask finetuning
+REGIMES = ("baseline", "mtl")
+
 # train settings that the baseline regime never reads, so they stay out of its fingerprint
 _MULTITASK_ONLY = (*MULTITASK_ONLY_FIELDS, "mtl_batch_size")
 
@@ -244,15 +248,16 @@ class ExperimentRunner:
     # --- train -------------------------------------------------------------------
 
     def train(self, direction: str, regime: str) -> Path:
-        if regime not in ("baseline", "mtl"):
-            raise ConfigError(f"regime must be 'baseline' or 'mtl', got {regime!r}")
+        if regime not in REGIMES:
+            raise ConfigError(f"regime must be one of {list(REGIMES)}, got {regime!r}")
+        multitask = regime == "mtl"
         config, seed = self.config, self.config.seed
         run_dir = self._run_dir(direction, regime)
         ckpt_path = run_dir / "checkpoint.npz"
         log_path = run_dir / "metrics.tsv"
         sections = config.to_dict()
         train = {k: v for k, v in sections["train"].items()
-                 if regime == "mtl" or k not in _MULTITASK_ONLY}
+                 if multitask or k not in _MULTITASK_ONLY}
         inputs = {"direction": direction, "regime": regime, "model": sections["model"],
                   "train": train, "optimizer": sections["optimizer"], "seed": seed}
 
@@ -266,18 +271,18 @@ class ExperimentRunner:
                         for s, t in zip(src[split], tgt[split])]
                 for split in ("train", "validation")})
             mono = {}
-            if regime == "mtl":
+            if multitask:
                 self.check_mono_files()
                 for lang in (src_lang, tgt_lang):
                     lines = self._splits(f"mono_{lang}", config.data.mono_files[lang])["train"]
                     mono[lang] = MonolingualCorpus(lang, {"train": [encode(line, vocab, lang)
                                                                     for line in lines]})
             model_cfg = runtime_config(ModelConfig, config.model, vocab_size=len(vocab), seed=seed)
-            model = init_params(model_cfg, multitask=(regime == "mtl"))
+            model = init_params(model_cfg, multitask=multitask)
             freeze = (FreezeSpec.first_half_encoder(model)
                       if config.train.freeze == "first_half" else FreezeSpec.none())
             t = config.train
-            batch_size = (t.mtl_batch_size if regime == "mtl" and t.mtl_batch_size is not None
+            batch_size = (t.mtl_batch_size if multitask and t.mtl_batch_size is not None
                           else t.batch_size)
             train_cfg = runtime_config(TrainConfig, t, batch_size=batch_size,
                                        max_len=config.model.max_len, seed=seed)
@@ -286,7 +291,7 @@ class ExperimentRunner:
                     "vocab_sha": _sha256_file(self.vocab_path),
                     "tokenize_mode": config.data.tokenize_mode,
                     "model_config": dataclasses.asdict(model_cfg),
-                    "multitask": regime == "mtl"}
+                    "multitask": multitask}
             log_path.unlink(missing_ok=True)
             result = train_loop(model, TrainData(vocab, parallel, mono), train_cfg,
                                 config.optimizer, freeze_spec=freeze, log_path=log_path,
@@ -342,14 +347,14 @@ class ExperimentRunner:
         self.manifest["seed"] = self.config.seed
         self.config.save(self.out / "config.json")
         self.prepare()
-        baseline_scores, mtl_scores = {}, {}
+        scores = {regime: {} for regime in REGIMES}  # regime -> direction -> BLEU
         for direction in self.config.directions:
-            for regime, scores in (("baseline", baseline_scores), ("mtl", mtl_scores)):
+            for regime in REGIMES:
                 self.train(direction, regime)
                 self.translate(direction, regime)
                 bleu_path = self.evaluate(direction, regime)
-                scores[direction] = json.loads(bleu_path.read_text())["bleu"]
-        report = compare_report(baseline_scores, mtl_scores, self.config.directions)
+                scores[regime][direction] = json.loads(bleu_path.read_text())["bleu"]
+        report = compare_report(*scores.values(), self.config.directions)
         write_text_atomically(self.out / "report.txt", report.render_table(scale=100) + "\n")
         write_text_atomically(self.out / "report.tsv", report.render_rows(scale=100) + "\n")
         self._save_manifest()
@@ -366,7 +371,8 @@ def translate_file(checkpoint, vocab_path, lines, output, decode_settings) -> No
     stream into a temporary file that replaces ``output`` when done."""
     ckpt = load_checkpoint(checkpoint, params_only=True)
     meta = ckpt.meta
-    missing = [key for key in ("model_config", "vocab_sha", "tokenize_mode") if key not in meta]
+    missing = [key for key in ("model_config", "vocab_sha", "tokenize_mode", "src_lang",
+                               "tgt_lang", "multitask") if key not in meta]
     if missing:
         raise ConfigError(f"{checkpoint}: checkpoint carries no translation metadata {missing}")
     vocab = Vocabulary.load(vocab_path, mode=meta["tokenize_mode"])

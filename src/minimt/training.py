@@ -9,6 +9,11 @@ the baseline regime optimizes the translation term alone. All shuffling is
 derived functionally from (seed, epoch/cycle) so a resumed run replays the
 exact batch order of an uninterrupted one.
 
+``TrainSection`` declares and checks the settings ``train_loop`` reads, as
+a config's train section holds them; ``TrainConfig`` adds the ``max_len``
+and ``seed`` that the runner derives. A run with ``checkpoint_interval``
+writes a checkpoint every that many steps and one at its last step.
+
 Every step runs as the list of parts that ``step_parts`` returns with the
 step's split, one of three kinds: "rows" splits a long step's batches by
 rows into shards, "tasks" a smaller joint multitask step into its
@@ -37,7 +42,7 @@ import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -88,13 +93,13 @@ class OptimizerConfig:
 
 
 @dataclass
-class TrainConfig:
-    steps: int | None = None
+class TrainSection:
+    """The settings ``train_loop`` reads; ``TrainConfig`` adds the derived fields."""
+
+    steps: int | None = 300
     epochs: int | None = None
     batch_size: int = 16
     clm_batch_size: int | None = None
-    max_len: int = 64
-    seed: int = 0
     log_interval: int = 50
     checkpoint_interval: int | None = None
     clm_loss_weight: float = 1.0
@@ -113,6 +118,16 @@ class TrainConfig:
             raise ValueError(f"clm_loss_weight must be finite and >= 0, got {self.clm_loss_weight}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
+
+
+@dataclass
+class TrainConfig(TrainSection):
+    _: KW_ONLY
+    max_len: int = 64
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
         token_budget(self.max_len)  # raises unless a framed sentence fits a token
 
     @property
@@ -839,8 +854,9 @@ def train_loop(model, data: TrainData, train_config: TrainConfig,
             if log_path is not None:
                 with open(log_path, "a", encoding="utf-8") as f:
                     f.write(line + "\n")
+        # the last step's checkpoint is written once, after the loop
         if (checkpoint_path is not None and train_config.checkpoint_interval is not None
-                and step % train_config.checkpoint_interval == 0):
+                and step % train_config.checkpoint_interval == 0 and step < total_steps):
             save_checkpoint(checkpoint_path, model, optimizer, fingerprint, step, cursors(), meta)
 
     if checkpoint_path is not None:

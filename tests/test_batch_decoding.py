@@ -191,7 +191,8 @@ def test_translate_file_of_no_lines_writes_an_empty_file(tmp_path):
     assert out.read_bytes() == b""
 
 
-@pytest.mark.parametrize("key", ["vocab_sha", "tokenize_mode"])
+@pytest.mark.parametrize("key", ["vocab_sha", "tokenize_mode", "src_lang", "tgt_lang",
+                                 "multitask"])
 def test_translate_file_refuses_a_checkpoint_without_its_vocabulary_metadata(tmp_path, key):
     ckpt, vocab_path, _, _ = write_checkpoint(tmp_path, "smoke", multitask=False, drop=[key])
     out = tmp_path / "hyps.txt"

@@ -16,8 +16,10 @@ from minimt.config import (
     ConfigError,
     DecodeSection,
     EvaluationSection,
+    ExperimentConfig,
     config_from_dict,
     load_config,
+    runtime_config,
 )
 from minimt.data import CorpusError, SplitConfig, build_vocab, encode, split_indices
 from minimt.experiment import ExperimentRunner, StageFailure, make_preset
@@ -103,6 +105,7 @@ def test_config_rejects_unknown_keys():
     ({"decode": {"max_decode_len": 3.5}}, "decode"),
     ({"directions": ["aa->bb", 3]}, "directions"),
     ({"data": {"parallel_split": [80.0, 10, 10]}}, "data"),
+    ({"train": {"log_interval": 0}}, "train"),
 ])
 def test_config_rejects_bad_values(payload, section):
     with pytest.raises(ConfigError, match=rf"^config\.{section}: ") as err:
@@ -112,6 +115,26 @@ def test_config_rejects_bad_values(payload, section):
                for v in (bad.values() if isinstance(bad, dict) else [bad]))  # echoed
     if isinstance(bad, dict):  # and a section's field named
         assert any(field in str(err.value) for field in bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("clip_norm", 0),
+    ("log_interval", 0),
+    ("steps", None),
+    ("clm_loss_weight", -2),
+])
+def test_a_bad_train_value_gets_one_message_from_the_loader_and_train_config(field, value):
+    with pytest.raises(ValueError) as direct:
+        training.TrainConfig(**{field: value})
+    with pytest.raises(ConfigError) as loaded:
+        config_from_dict({"train": {field: value}})
+    assert str(loaded.value) == f"config.train: {direct.value}"
+
+
+def test_the_train_sections_defaults_are_train_configs():
+    """train_loop's settings and their defaults are declared once."""
+    train = ExperimentConfig().train
+    assert runtime_config(training.TrainConfig, train, max_len=64, seed=0) == training.TrainConfig()
 
 
 def test_a_float_field_takes_an_integer_and_keeps_it():
@@ -166,6 +189,7 @@ def test_command_line_overrides_are_checked_like_the_config_file(tmp_path, capsy
 @pytest.mark.parametrize("field, value, message", [
     ("seed", -1, "config.seed: must be an integer >= 0, got -1"),
     ("data.tokenize_mode", "bogus", "config.data: tokenize_mode must be one of"),
+    ("train.clip_norm", 0, "config.train: clip_norm must be > 0 when set, got 0"),
 ])
 def test_the_runner_checks_a_field_set_after_the_config_was_made(tmp_path, field, value,
                                                                  message):

@@ -691,10 +691,30 @@ def test_train_loop_deterministic_logs():
 
 def test_train_loop_epochs_mode():
     vocab, data = toy_data()
-    tc = TrainConfig(epochs=2, batch_size=4, log_interval=100)
+    tc = TrainConfig(steps=None, epochs=2, batch_size=4, log_interval=100)
     result = train_loop(tiny_model(vocab), data, tc, OptimizerConfig())
     batches_per_epoch = math.ceil(len(data.parallel.split("train")) / 4)
     assert result.steps_run == 2 * batches_per_epoch
+
+
+@pytest.mark.parametrize("steps, interval, saved", [
+    (4, 2, [2, 4]),  # the last step is an interval step and is written once
+    (5, 2, [2, 4, 5]),
+    (3, None, [3]),
+])
+def test_each_checkpointed_step_is_written_once(tmp_path, monkeypatch, steps, interval, saved):
+    vocab, data = toy_data()
+    written = []
+
+    def spy(path, model, optimizer, fingerprint, step, *args):
+        written.append(step)
+        return save_checkpoint(path, model, optimizer, fingerprint, step, *args)
+
+    monkeypatch.setattr(training, "save_checkpoint", spy)
+    tc = TrainConfig(steps=steps, batch_size=4, checkpoint_interval=interval)
+    train_loop(tiny_model(vocab), data, tc, OptimizerConfig(),
+               checkpoint_path=tmp_path / "checkpoint.npz")
+    assert written == saved
 
 
 def test_train_loop_requires_mono_for_mtl():
