@@ -13,6 +13,22 @@ pre-ReLU projection) is freed as soon as the model code drops its tensor.
 drops each closure, with the arrays it kept, once it has run. All
 arithmetic is float64.
 
+A node may also hold a recipe: a function that rebuilds its output bit for
+bit, with the forward's own ufuncs and products, from arrays that a node or
+the model keeps anyway. ``layer_norm`` rebuilds ``xhat * gain + bias`` from
+the ``xhat`` its backward reads, ``attention`` its merged contexts from its
+weights and values, ``linear`` ``x @ w + b`` when ``x`` has a recipe, and
+``relu`` ``max(x, 0)`` when ``x`` has one; ``relu`` itself keeps only a
+boolean mask of where its output is positive. ``linear`` and ``matmul``
+read an input for a weight gradient; where that input has a recipe they
+keep its node's ``output`` instead of the array. The first backward that
+calls it rebuilds the array, and the node keeps it until its own backward,
+which runs after every reader's, so the readers share one rebuild. So a
+layer norm's output, an attention's and a ReLU's live only while the model
+code holds them, and again briefly during backward. A recipe reads its
+arrays when it runs, so the parameters must not be written between a
+forward and its backward.
+
 Two fused ops carry the model: ``linear(x, w, b)`` is ``x @ w + b`` as one
 node, for every projection, and ``attention(q, k, v, n_heads, mask)`` is a
 whole multi-head scaled dot-product attention between the projections as
@@ -66,18 +82,32 @@ class Node:
     ``grad`` accumulates the output's gradient. ``sinks`` has one entry per
     op input: its node, the input itself if it is a leaf that needs a
     gradient, or None. ``fn(g, *sinks)`` hands each sink that is not None
-    its share of ``g``; ``backward`` drops it once it has run. Nodes and
+    its share of ``g``. ``recipe``, when not None, rebuilds the output's
+    data, which ``output()`` keeps from its first call on. ``backward``
+    drops them all once ``fn`` has run. Nodes and
     tensors share one read-only view of the graph, ``_children`` and
     ``_backward_fn``, which the node count in ``perfbench/tracing.py`` walks.
     """
 
-    __slots__ = ("grad", "sinks", "fn", "done")
+    __slots__ = ("grad", "sinks", "fn", "done", "recipe", "rebuilt")
 
-    def __init__(self, fn, sinks):
+    def __init__(self, fn, sinks, recipe=None):
         self.grad = None
         self.sinks = sinks
         self.fn = fn
         self.done = False
+        self.recipe = recipe
+        self.rebuilt = None
+
+    def output(self):
+        """The output's data, rebuilt on the first call. Every reader runs its
+        backward before this node's, which drops the array, so the readers
+        of one output share one rebuild."""
+        if self.rebuilt is None:
+            if self.done:  # a reader from a second graph: the recipe is gone
+                raise GraphError("backward already ran through this graph; rebuild the forward pass")
+            self.rebuilt = self.recipe()
+        return self.rebuilt
 
     @property
     def _children(self):
@@ -184,15 +214,38 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, inputs, backward_fn):
+def _records(inputs) -> bool:
+    """Whether an op over ``inputs`` gives its output a node."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
+def _make(data, inputs, backward_fn, recipe=None):
     """Build an op output, giving it a node only when a gradient must flow
-    to one of ``inputs``; ``backward_fn(g, *sinks)`` takes their sinks in order."""
+    to one of ``inputs``; ``backward_fn(g, *sinks)`` takes their sinks in order.
+    ``recipe``, if given, rebuilds ``data`` bit for bit (see ``Node.output``)."""
     out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         out._node = Node(backward_fn, tuple([(t._node or t) if t.requires_grad else None
-                                             for t in inputs]))
+                                             for t in inputs]), recipe)
     return out
+
+
+def _rebuilder(t):
+    """``t``'s node's ``output`` if its data can be rebuilt, else None."""
+    node = t._node
+    return None if node is None or node.recipe is None else node.output
+
+
+def _reader(t):
+    """A function that a backward calls for ``t.data``: one that rebuilds it
+    when it can, so the array can die with ``t``, else one that returns the
+    array itself."""
+    rebuild = _rebuilder(t)
+    if rebuild is not None:
+        return rebuild
+    data = t.data
+    return lambda: data
 
 
 def _accumulate(sink, grad):
@@ -258,55 +311,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     out_data = a.data @ b.data
     a_shape, b_shape = a.data.shape, b.data.shape
-    a_data = a.data if b.requires_grad else None
-    b_data = b.data if a.requires_grad else None
+    read_a = _reader(a) if b.requires_grad else None
+    read_b = _reader(b) if a.requires_grad else None
 
     def backward_fn(g, sa, sb):
         if sa is not None:
-            _accumulate(sa, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape))
+            _accumulate(sa, _unbroadcast(g @ read_b().swapaxes(-1, -2), a_shape))
         if sb is not None:
             if len(a_shape) > 2 and len(b_shape) == 2:
                 # fold the batch into rows instead of summing a batched product
                 k, n = b_shape
-                _accumulate(sb, a_data.reshape(-1, k).T @ g.reshape(-1, n))
+                _accumulate(sb, read_a().reshape(-1, k).T @ g.reshape(-1, n))
             else:
-                _accumulate(sb, _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape))
+                _accumulate(sb, _unbroadcast(read_a().swapaxes(-1, -2) @ g, b_shape))
 
     return _make(out_data, (a, b), backward_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D weight and a 1-D bias, as one graph node."""
+    """``x @ w + b`` for a 2-D weight and a 1-D bias, as one graph node; it
+    can be rebuilt when ``x`` can."""
     if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"linear needs a 2-D weight and a matching 1-D bias, "
                          f"got shapes {w.data.shape} and {b.data.shape}")
     if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear inner dimensions disagree: {x.data.shape} x {w.data.shape}")
-    out_data = x.data @ w.data
-    out_data += b.data
-    k, n = w.data.shape
-    x_data = x.data if w.requires_grad else None
-    w_data = w.data if x.requires_grad else None
+    w_data, b_data = w.data, b.data
+    k, n = w_data.shape
+
+    def affine(x_data):
+        out = x_data @ w_data
+        out += b_data
+        return out
+
+    read_x = _reader(x) if w.requires_grad else None
+    rebuild_x = _rebuilder(x)
 
     def backward_fn(g, sx, sw, sb):
         if sx is not None:
             _accumulate(sx, g @ w_data.T)
         g2 = g.reshape(-1, n)
         if sw is not None:
-            _accumulate(sw, x_data.reshape(-1, k).T @ g2)
+            _accumulate(sw, read_x().reshape(-1, k).T @ g2)
         if sb is not None:
             _accumulate(sb, g2.sum(axis=0))
 
-    return _make(out_data, (x, w, b), backward_fn)
+    return _make(affine(x.data), (x, w, b), backward_fn,
+                 None if rebuild_x is None else lambda: affine(rebuild_x()))
 
 
 def relu(x: Tensor) -> Tensor:
+    """``max(x, 0)``; its node keeps only where the output is > 0, and it can
+    be rebuilt when ``x`` can."""
     out_data = np.maximum(x.data, 0.0)
+    positive = out_data > 0.0 if _records((x,)) else None  # exactly where x > 0
+    rebuild_x = _rebuilder(x)
 
     def backward_fn(g, sx):
-        _accumulate(sx, g * (out_data > 0.0))  # the output is > 0 exactly where x is
+        _accumulate(sx, g * positive)
 
-    return _make(out_data, (x,), backward_fn)
+    return _make(out_data, (x,), backward_fn,
+                 None if rebuild_x is None else lambda: np.maximum(rebuild_x(), 0.0))
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -392,7 +457,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     an additive array that broadcasts to the (B, heads, S, T) scores. Returns
     the heads' contexts merged back to (B, S, d). The scores are scaled,
     masked and normalized in place, so the attention weights are the only
-    (B, heads, S, T) array the node keeps for backward.
+    (B, heads, S, T) array the node keeps for backward; from them and the
+    values it rebuilds the output.
     """
     d = q.data.shape[-1]
     if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape \
@@ -419,7 +485,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    out_data = merge(w @ vh)
+
+    def contexts():
+        return merge(w @ vh)
 
     def backward_fn(g, sq, sk, sv):
         gh = heads(g)
@@ -436,11 +504,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
             dkt = qh.swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
             _accumulate(sk, merge(dkt.swapaxes(-1, -2)))
 
-    return _make(out_data, (q, k, v), backward_fn)
+    return _make(contexts(), (q, k, v), backward_fn, contexts)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and
+    shift; the node keeps the normalized ``xhat`` and rebuilds the output
+    from it."""
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be > 0, got {eps}")
     d = x.data.shape[-1]
@@ -458,9 +528,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    out_data = xhat * gain.data
-    out_data += bias.data
-    gain_data = gain.data
+    gain_data, bias_data = gain.data, bias.data
+
+    def scaled():
+        out = xhat * gain_data
+        out += bias_data
+        return out
 
     def backward_fn(g, sx, sgain, sbias):
         if sbias is not None:
@@ -480,7 +553,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dx *= inv
             _accumulate(sx, dx)
 
-    return _make(out_data, (x, gain, bias), backward_fn)
+    return _make(scaled(), (x, gain, bias), backward_fn, scaled)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -589,7 +662,7 @@ def backward(root: Tensor) -> None:
             raise GraphError("backward already ran through this graph; rebuild the forward pass")
         node.done = True
         node.fn(node.grad, *node.sinks)
-        node.fn = node.grad = None  # frees the arrays the closure kept
+        node.fn = node.grad = node.recipe = node.rebuilt = None  # frees the arrays they kept
 
 
 def zero_grads(tensors) -> None:

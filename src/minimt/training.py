@@ -239,7 +239,8 @@ class Adam:
     core gives the second half of the blocks' updates to a worker thread
     when there are at least ``ADAM_SPLIT_BLOCKS`` blocks' worth of elements.
     That layout is fixed on construction, and each of the one or two parts
-    keeps one block's worth of scratch for the update's intermediates.
+    keeps one block-sized scratch row for the update's intermediates; once
+    ``m`` and ``v`` have read a gradient block, the block holds the rest.
     Every element sees the same operations either way, so the update is
     bit-identical.
     """
@@ -258,7 +259,7 @@ class Adam:
             self._parts = [blocks[:half], blocks[half:]]
         else:
             self._parts = [blocks]
-        self._scratch = [np.empty((2, min(ADAM_BLOCK, n))) for _ in self._parts]
+        self._scratch = [np.empty(min(ADAM_BLOCK, n)) for _ in self._parts]
         self.m, self.v, self._grad_views = {}, {}, []
         for (name, p), sl in zip(self.params, self._slices):
             shape = p.data.shape
@@ -291,20 +292,21 @@ class Adam:
         c, t = self.config, self.t
         for lo, hi in blocks:
             g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
-            s1, s2 = scratch[:, :hi - lo]
+            s = scratch[:hi - lo]
             m *= c.beta1
-            m += np.multiply(g, 1 - c.beta1, out=s1)
+            m += np.multiply(g, 1 - c.beta1, out=s)
             v *= c.beta2
-            np.multiply(g, 1 - c.beta2, out=s1)
-            s1 *= g
-            v += s1
-            np.divide(m, 1 - c.beta1 ** t, out=s1)  # m_hat
-            np.divide(v, 1 - c.beta2 ** t, out=s2)  # v_hat
-            np.sqrt(s2, out=s2)
-            s2 += c.eps
-            s1 *= c.lr
-            s1 /= s2
-            self._data[lo:hi] -= s1
+            np.multiply(g, 1 - c.beta2, out=s)
+            s *= g
+            v += s
+            # m and v have read g: the gradient block now holds m_hat
+            np.divide(m, 1 - c.beta1 ** t, out=g)  # m_hat
+            np.divide(v, 1 - c.beta2 ** t, out=s)  # v_hat
+            np.sqrt(s, out=s)
+            s += c.eps
+            g *= c.lr
+            g /= s
+            self._data[lo:hi] -= g
 
 
 # A row shard needs at least this many padded positions (the id matrices'

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -262,6 +263,15 @@ def test_backward_reusing_consumed_subgraph_errors():
         backward(y + Tensor(0.0))
 
 
+def test_backward_through_a_second_reader_of_a_rebuilt_output_errors():
+    h = layer_norm(rand((2, 3), 18), rand((3,), 19), rand((3,), 20))
+    w, c = rand((3, 2), 21), rand((2,), 22)
+    first, second = ad.linear(h, w, c).sum(), ad.linear(h, w, c).sum()
+    backward(first)
+    with pytest.raises(GraphError, match="already ran"):
+        backward(second)
+
+
 def test_grads_accumulate_across_fresh_graphs():
     x = Tensor(2.0, requires_grad=True)
     backward(x * x)
@@ -466,21 +476,34 @@ def test_gradients_own_their_memory(name, fn):
     assert b.grad is None or np.all(b.grad == 1.0), name
 
 
-def _desk_step():
-    """A multitask model of the default shape and one step's (parallel,
-    source mono, target mono) batches of 16 sentences of 3-8 tokens."""
+def _step(rows=16, tokens=(3, 8), multitask=True, **model_kw):
+    """A model (the default shape, unless ``model_kw`` says otherwise) and one
+    step's (parallel, source mono, target mono) batches of ``rows`` sentences
+    of ``tokens`` tokens; a baseline step has only the parallel batch."""
     from minimt.data import ParallelExample, build_vocab, encode, make_batches
     from minimt.model import ModelConfig, init_params
 
     rng = np.random.default_rng(73)
     words = [f"w{i}" for i in range(30)]
-    lines = [" ".join(rng.choice(words, size=rng.integers(3, 9))) for _ in range(48)]
+    lo, hi = tokens
+    lines = [" ".join(rng.choice(words, size=rng.integers(lo, hi + 1))) for _ in range(3 * rows)]
     vocab = build_vocab(lines, languages=["xx", "yy"])
-    pairs = [ParallelExample(encode(l, vocab, "xx"), encode(l, vocab, "yy")) for l in lines[:16]]
-    src = [encode(l, vocab, "xx") for l in lines[16:32]]
-    tgt = [encode(l, vocab, "yy") for l in lines[32:]]
-    batches = [make_batches(split, 16, vocab, 64, seed=0)[0] for split in (pairs, src, tgt)]
-    return init_params(ModelConfig(vocab_size=len(vocab)), multitask=True), batches
+    pairs = [ParallelExample(encode(l, vocab, "xx"), encode(l, vocab, "yy"))
+             for l in lines[:rows]]
+    src = [encode(l, vocab, "xx") for l in lines[rows:2 * rows]]
+    tgt = [encode(l, vocab, "yy") for l in lines[2 * rows:]]
+    config = ModelConfig(vocab_size=len(vocab), **model_kw)
+    batches = [make_batches(split, rows, vocab, config.max_len, seed=0)[0]
+               for split in (pairs, src, tgt)]
+    if not multitask:
+        batches[1:] = [None, None]
+    return init_params(config, multitask=multitask), batches
+
+
+def _desk_step():
+    """A multitask model of the default shape and one step's (parallel,
+    source mono, target mono) batches of 16 sentences of 3-8 tokens."""
+    return _step()
 
 
 def _desk_step_root(model, batches):
@@ -517,10 +540,12 @@ def _graph(root):
 
 def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
     # the residual sums and the pre-ReLU projections are dropped by the model
-    # code during the forward pass; no node may keep them for backward
+    # code during the forward pass; no node may keep them for backward. The
+    # layer-norm, attention and ReLU outputs are read by the projections
+    # after them, which rebuild them from what other nodes keep instead.
     model, batches = _desk_step()
-    add, relu = ad.add, ad.relu
-    sums, pre_relu = [], []
+    add, relu, layer_norm, attention = ad.add, ad.relu, ad.layer_norm, ad.attention
+    sums, pre_relu, rebuilt = [], [], {"relu": [], "layer_norm": [], "attention": []}
 
     def recording_add(a, b):
         out = add(a, b)
@@ -528,13 +553,24 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
         sums.append(weakref.ref(out.data))
         return out
 
+    def recording(name, op):
+        def record(*args):
+            out = op(*args)
+            owner = out.data if out.data.base is None else out.data.base  # attention's is a view
+            assert owner.base is None
+            rebuilt[name].append(weakref.ref(owner))
+            return out
+        return record
+
     def recording_relu(x):
         assert x.data.base is None
         pre_relu.append(weakref.ref(x.data))
-        return relu(x)
+        return recording("relu", relu)(x)
 
     monkeypatch.setattr(ad, "add", recording_add)
     monkeypatch.setattr(ad, "relu", recording_relu)
+    monkeypatch.setattr(ad, "layer_norm", recording("layer_norm", layer_norm))
+    monkeypatch.setattr(ad, "attention", recording("attention", attention))
     root = _desk_step_root(model, batches)
     monkeypatch.undo()
     gc.collect()
@@ -542,6 +578,11 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
     assert len(sums) > 20 and len(pre_relu) > 5
     assert [r() for r in sums if r() is not None] == [root.data]  # the root is a sum of losses
     assert all(r() is None for r in pre_relu)
+    # 4 encoder layers over the translation batch and the CLM stubs, 4 layers in each decoder
+    assert {name: len(refs) for name, refs in rebuilt.items()} == {
+        "relu": 16, "layer_norm": 2 * (2 * 4 + 1) + 2 * (3 * 4 + 1), "attention": 8 + 2 * 8}
+    assert {name: sum(r() is not None for r in refs) for name, refs in rebuilt.items()} == \
+        dict.fromkeys(rebuilt, 0)
     backward(root)
     assert all(p.grad is not None for p in model.parameters())
 
@@ -569,7 +610,28 @@ def test_backward_releases_what_nodes_kept(monkeypatch):
     assert all(r() is None for r in weights)
     nodes = [t for t in _graph(root) if isinstance(t, ad.Node)]
     assert nodes and all(n.fn is None and n.grad is None for n in nodes)
+    assert all(n.recipe is None and n.rebuilt is None for n in nodes)  # nor what rebuilt arrays
     assert root.grad == 1.0
+
+
+# tracemalloc's traced bytes at the first backward of an 8-row baseline step
+# of 40-60 tokens, at the default shape and run whole: 40.7 MiB when the
+# projections kept the layer-norm, attention and ReLU outputs they read,
+# 25.7 MiB now that they rebuild them
+LONG_STEP_GRAPH_BUDGET = 33 * 2**20
+
+
+def test_a_long_steps_graph_stays_within_its_memory_budget():
+    model, batches = _step(8, (40, 60), multitask=False)
+    assert batches[0].src.shape[1] > 40
+    tracemalloc.start()
+    try:
+        root = _desk_step_root(model, batches)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    backward(root)
+    assert live < LONG_STEP_GRAPH_BUDGET, f"{live / 2**20:.1f} MiB live at backward"
 
 
 def test_second_backward_through_a_consumed_step_raises():
@@ -698,3 +760,195 @@ def test_attention_shape_errors():
         ad.attention(rand((2, 3, 4), 0), rand((1, 4, 4), 1), rand((1, 4, 4), 2), 2)
     with pytest.raises(ShapeError):
         ad.attention(rand((2, 3, 4), 0), rand((2, 4, 4), 1), rand((2, 5, 4), 2), 2)
+
+
+# --- rebuilt arrays: backward reads a recipe's array, bit for bit the kept one ------
+
+def kept_linear(x, w, b):
+    """The reference ``linear``: it keeps its input for the weight gradient."""
+    out_data = x.data @ w.data
+    out_data += b.data
+    k, n = w.data.shape
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
+
+    def backward_fn(g, sx, sw, sb):
+        if sx is not None:
+            ad._accumulate(sx, g @ w_data.T)
+        g2 = g.reshape(-1, n)
+        if sw is not None:
+            ad._accumulate(sw, x_data.reshape(-1, k).T @ g2)
+        if sb is not None:
+            ad._accumulate(sb, g2.sum(axis=0))
+
+    return ad._make(out_data, (x, w, b), backward_fn)
+
+
+def kept_relu(x):
+    """The reference ``relu``: it keeps its output, whose sign its backward reads."""
+    out_data = np.maximum(x.data, 0.0)
+
+    def backward_fn(g, sx):
+        ad._accumulate(sx, g * (out_data > 0.0))
+
+    return ad._make(out_data, (x,), backward_fn)
+
+
+def kept_attention(q, k, v, n_heads, mask=None):
+    """The reference ``attention``: no recipe, so the projection after it
+    keeps its output."""
+    d = q.data.shape[-1]
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+
+    def heads(x):
+        return x.reshape(x.shape[0], x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(x.shape[0], x.shape[2], d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= scale
+    if mask is not None:
+        w += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out_data = merge(w @ vh)
+
+    def backward_fn(g, sq, sk, sv):
+        gh = heads(g)
+        if sv is not None:
+            ad._accumulate(sv, merge(w.swapaxes(-1, -2) @ gh))
+        dw = gh @ vh.swapaxes(-1, -2)
+        dot = (dw * w).sum(axis=-1, keepdims=True)
+        dw -= dot
+        dw *= w
+        dw *= scale
+        if sq is not None:
+            ad._accumulate(sq, merge(dw @ kh))
+        if sk is not None:
+            dkt = qh.swapaxes(-1, -2) @ dw
+            ad._accumulate(sk, merge(dkt.swapaxes(-1, -2)))
+
+    return ad._make(out_data, (q, k, v), backward_fn)
+
+
+def kept_layer_norm(x, gain, bias, eps=1e-5):
+    """The reference ``layer_norm``: it keeps ``xhat``, and the projection
+    after it keeps its output."""
+    d = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    var = np.multiply(xhat, xhat).sum(axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
+    gain_data = gain.data
+
+    def backward_fn(g, sx, sgain, sbias):
+        if sbias is not None:
+            ad._accumulate(sbias, g.reshape(-1, d).sum(axis=0))
+        if sgain is not None:
+            ad._accumulate(sgain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if sx is not None:
+            dx = g * gain_data
+            m1 = dx.sum(axis=-1, keepdims=True)
+            m1 /= d
+            t = dx * xhat
+            m2 = t.sum(axis=-1, keepdims=True)
+            m2 /= d
+            np.multiply(xhat, m2, out=t)
+            dx -= m1
+            dx -= t
+            dx *= inv
+            ad._accumulate(sx, dx)
+
+    return ad._make(out_data, (x, gain, bias), backward_fn)
+
+
+KEPT_OPS = {"linear": kept_linear, "relu": kept_relu, "attention": kept_attention,
+            "layer_norm": kept_layer_norm}
+
+SMOKE_SHAPE = dict(d_model=32, n_heads=2, n_enc_layers=2, n_dec_layers=2, d_ff=64, max_len=24)
+
+# case: how the step runs, on how many usable cores, and its rows, tokens,
+# regime and model shape. The smoke model has its first encoder layer frozen,
+# as the smoke preset does. The whole steps come first: they start no worker
+# pool, so in a process of their own their products run on threaded BLAS.
+REBUILD_STEPS = {
+    "smoke-whole": ("whole", 2, 8, (3, 6), True, SMOKE_SHAPE),
+    "baseline-40-60-tokens-whole": ("whole", 1, 16, (40, 60), False, {}),
+    "desk-tasks": ("tasks", 2, 16, (3, 8), True, {}),
+    "baseline-40-60-tokens-rows": ("rows", 2, 16, (40, 60), False, {}),
+}
+
+
+def _trained_step(case, ops):
+    """One ``train_step`` of the case, from perturbed initial parameters, with
+    ``ops`` patched over autodiff's: its split, loss, parameter gradients and
+    updated parameters."""
+    from minimt import training
+    from minimt.model import FreezeSpec, apply_freeze
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, op in ops.items():
+            mp.setattr(ad, name, op)
+        _, cores, rows, tokens, multitask, shape = REBUILD_STEPS[case]
+        mp.setattr(training, "_usable_cores", lambda: cores)
+        model, batches = _step(rows, tokens, multitask, **shape)
+        rng = np.random.default_rng(74)
+        for p in model.parameters():  # gains and biases away from 1 and 0, as in training
+            p.data += rng.normal(0.0, 0.1, p.shape)
+        if case.startswith("smoke"):
+            apply_freeze(model, FreezeSpec.first_half_encoder(model))
+        trainable = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+        bd = training.train_step(model, *batches, training.Adam(trainable,
+                                                                training.OptimizerConfig()))
+    return (bd.split, bd.loss.item(), {n: p.grad for n, p in trainable},
+            {n: p.data for n, p in trainable})
+
+
+@pytest.mark.parametrize("case", list(REBUILD_STEPS))
+def test_rebuilt_arrays_equal_kept_ones(case):
+    # every array a backward rebuilds must be the forward's bit for bit, so
+    # a step with recipes computes exactly what one that keeps the arrays does
+    split, loss, grads, params = _trained_step(case, {})
+    kept_split, kept_loss, kept_grads, kept_params = _trained_step(case, KEPT_OPS)
+    assert split == kept_split == REBUILD_STEPS[case][0]
+    assert loss == kept_loss
+    assert grads.keys() == kept_grads.keys() and len(grads) > 20
+    for n, g in grads.items():
+        assert np.array_equal(g, kept_grads[n]), n
+        assert np.array_equal(params[n], kept_params[n]), n
+
+
+@pytest.mark.parametrize("name,fn,inputs", [
+    ("layer_norm_linear", lambda x, g, b, w, c: ad.linear(layer_norm(x, g, b), w, c),
+     [rand((2, 3, 5), 100), rand((5,), 101), rand((5,), 102), rand((5, 4), 103),
+      rand((4,), 104)]),
+    ("attention_linear", lambda q, k, v, w, c: ad.linear(
+        ad.attention(q, k, v, 2, _causal_mask(3, 4)), w, c),
+     [rand((2, 3, 4), 105), rand((2, 4, 4), 106), rand((2, 4, 4), 107), rand((4, 3), 108),
+      rand((3,), 109)]),
+    # linear -> relu -> linear after a layer norm, as in the model, so that
+    # the first linear's output and the ReLU's can be rebuilt
+    ("layer_norm_linear_relu_linear", lambda x, g, b, w1, b1, w2, b2: ad.linear(
+        ad.linear(layer_norm(x, g, b), w1, b1).relu(), w2, b2),
+     [rand((2, 3, 4), 110), rand((4,), 111), rand((4,), 112), rand((4, 6), 113),
+      rand((6,), 114), rand((6, 3), 115), rand((3,), 116)]),
+])
+def test_ops_that_read_a_rebuilt_input_pass_grad_check(name, fn, inputs):
+    out = fn(*inputs)
+    assert out._node.sinks[0].recipe is not None  # the outer linear's input can be rebuilt
+    if name.endswith("relu_linear"):  # the hidden units are off ReLU's kink
+        x, g, b, w1, b1 = inputs[:5]
+        assert np.abs(layer_norm(x, g, b).data @ w1.data + b1.data).min() > 1e-3
+    report = grad_check(scalarize(fn), inputs, tolerance=1e-6)
+    assert report.passed, f"{name}: {report}"
