@@ -18,26 +18,29 @@ bit, with the forward's own ufuncs and products, from arrays that a node or
 the model keeps anyway. ``layer_norm`` rebuilds ``xhat * gain + bias`` from
 the ``xhat`` its backward reads, ``attention`` its merged contexts from its
 weights and values, ``linear`` ``x @ w + b`` when ``x`` has a recipe, and
-``relu`` ``max(x, 0)`` when ``x`` has one; ``relu`` itself keeps only a
-boolean mask of where its output is positive. ``linear`` and ``matmul``
-read an input for a weight gradient; where that input has a recipe they
-keep its node's ``output`` instead of the array. The first backward that
-calls it rebuilds the array, and the node keeps it until its own backward,
-which runs after every reader's, so the readers share one rebuild. So a
-layer norm's output, an attention's and a ReLU's live only while the model
-code holds them, and again briefly during backward. A recipe reads its
-arrays when it runs, so the parameters must not be written between a
-forward and its backward.
+``relu`` ``max(x, 0)`` from ``x``'s recipe when ``x`` has one; ``relu``
+itself keeps only a boolean mask of where its output is positive.
+``attention`` rebuilds its weights too, from its inputs and the scores' row
+maxima and sums, once per backward: its output's recipe and its own
+backward share them. ``linear`` and ``matmul`` read an input for a weight
+gradient; where that input has a recipe they keep its node's ``output``
+instead of the array. The first backward that calls it rebuilds the array,
+and the node keeps it until its own backward, which runs after every
+reader's, so the readers share one rebuild. So a layer norm's output, an
+attention's and a ReLU's live only while the model code holds them, and
+again briefly during backward. A recipe reads its arrays when it runs, so
+the parameters must not be written between a forward and its backward.
 
 Two fused ops carry the model: ``linear(x, w, b)`` is ``x @ w + b`` as one
 node, for every projection, and ``attention(q, k, v, n_heads, mask)`` is a
 whole multi-head scaled dot-product attention between the projections as
-one node, which keeps only its attention weights for backward. Gradients
-are owned: the first array a backward closure hands to a sink becomes
-that sink's ``grad`` (later ones are added in place), so a closure passes
-only arrays that nothing else holds, and copies where it would otherwise
-pass a view of its incoming gradient. Note that ``training.Adam`` re-homes
-its parameters' ``data`` as views into one flat buffer.
+one node, which keeps for backward only each score row's maximum and sum,
+besides the projections it reads. Gradients are owned: the first array a
+backward closure hands to a sink becomes that sink's ``grad`` (later ones
+are added in place), so a closure passes only arrays that nothing else
+holds, and copies where it would otherwise pass a view of its incoming
+gradient. Note that ``training.Adam`` re-homes its parameters' ``data`` as
+views into one flat buffer.
 """
 
 from __future__ import annotations
@@ -365,13 +368,14 @@ def relu(x: Tensor) -> Tensor:
     be rebuilt when ``x`` can."""
     out_data = np.maximum(x.data, 0.0)
     positive = out_data > 0.0 if _records((x,)) else None  # exactly where x > 0
-    rebuild_x = _rebuilder(x)
+    # x's recipe, not its node's output: no backward reads x, so no node keeps it
+    recipe_x = None if x._node is None else x._node.recipe
 
     def backward_fn(g, sx):
         _accumulate(sx, g * positive)
 
     return _make(out_data, (x,), backward_fn,
-                 None if rebuild_x is None else lambda: np.maximum(rebuild_x(), 0.0))
+                 None if recipe_x is None else lambda: np.maximum(recipe_x(), 0.0))
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -449,6 +453,16 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return _make(out_data, (x,), backward_fn)
 
 
+def _attention_scores(qh, kh, scale, mask):
+    """``qh khᵀ · scale + mask``: the (B, heads, S, T) scores in one new array,
+    which the caller normalizes in place into the attention weights."""
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    return scores
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
     """Multi-head ``softmax(q kᵀ / √d_head + mask) v`` as one graph node.
 
@@ -456,9 +470,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     ``n_heads`` heads of width ``d_head = d / n_heads`` as views. ``mask`` is
     an additive array that broadcasts to the (B, heads, S, T) scores. Returns
     the heads' contexts merged back to (B, S, d). The scores are scaled,
-    masked and normalized in place, so the attention weights are the only
-    (B, heads, S, T) array the node keeps for backward; from them and the
-    values it rebuilds the output.
+    masked and normalized in place, and the node keeps no (B, heads, S, T)
+    array: only each score row's maximum and sum of exponentials, from which
+    a backward rebuilds the weights, once, for the output's recipe and the
+    node's own backward to share.
     """
     d = q.data.shape[-1]
     if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape \
@@ -478,18 +493,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
         return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(x.shape[0], x.shape[2], d)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    w = qh @ kh.swapaxes(-1, -2)
-    w *= scale
-    if mask is not None:
-        w += mask
-    w -= w.max(axis=-1, keepdims=True)
+    w = _attention_scores(qh, kh, scale, mask)
+    row_max = w.max(axis=-1, keepdims=True)
+    w -= row_max
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    row_sum = w.sum(axis=-1, keepdims=True)
+    w /= row_sum
+    out_data = merge(w @ vh)
+    rebuilt = []  # the weights, once a backward has rebuilt them
+
+    def weights():
+        """The forward's weights, bit for bit: its ufuncs over its scores, with
+        the row maxima and sums it found instead of both reductions."""
+        if not rebuilt:
+            w = _attention_scores(qh, kh, scale, mask)
+            w -= row_max
+            np.exp(w, out=w)
+            w /= row_sum
+            rebuilt.append(w)
+        return rebuilt[0]
 
     def contexts():
-        return merge(w @ vh)
+        return merge(weights() @ vh)
 
     def backward_fn(g, sq, sk, sv):
+        w = weights()
         gh = heads(g)
         if sv is not None:
             _accumulate(sv, merge(w.swapaxes(-1, -2) @ gh))
@@ -504,7 +532,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
             dkt = qh.swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
             _accumulate(sk, merge(dkt.swapaxes(-1, -2)))
 
-    return _make(contexts(), (q, k, v), backward_fn, contexts)
+    return _make(out_data, (q, k, v), backward_fn, contexts)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -542,10 +542,18 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
     # the residual sums and the pre-ReLU projections are dropped by the model
     # code during the forward pass; no node may keep them for backward. The
     # layer-norm, attention and ReLU outputs are read by the projections
-    # after them, which rebuild them from what other nodes keep instead.
+    # after them, which rebuild them from what other nodes keep instead, and
+    # each attention's weights are rebuilt from its score rows' maxima and sums.
     model, batches = _desk_step()
     add, relu, layer_norm, attention = ad.add, ad.relu, ad.layer_norm, ad.attention
-    sums, pre_relu, rebuilt = [], [], {"relu": [], "layer_norm": [], "attention": []}
+    scores = ad._attention_scores
+    sums, pre_relu, weights = [], [], []
+    rebuilt = {"relu": [], "layer_norm": [], "attention": []}
+
+    def recording_scores(*args):
+        out = scores(*args)  # normalized in place into the attention weights
+        weights.append(weakref.ref(out))
+        return out
 
     def recording_add(a, b):
         out = add(a, b)
@@ -571,6 +579,7 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
     monkeypatch.setattr(ad, "relu", recording_relu)
     monkeypatch.setattr(ad, "layer_norm", recording("layer_norm", layer_norm))
     monkeypatch.setattr(ad, "attention", recording("attention", attention))
+    monkeypatch.setattr(ad, "_attention_scores", recording_scores)
     root = _desk_step_root(model, batches)
     monkeypatch.undo()
     gc.collect()
@@ -578,6 +587,7 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
     assert len(sums) > 20 and len(pre_relu) > 5
     assert [r() for r in sums if r() is not None] == [root.data]  # the root is a sum of losses
     assert all(r() is None for r in pre_relu)
+    assert len(weights) == 8 + 2 * 8 and all(r() is None for r in weights)
     # 4 encoder layers over the translation batch and the CLM stubs, 4 layers in each decoder
     assert {name: len(refs) for name, refs in rebuilt.items()} == {
         "relu": 16, "layer_norm": 2 * (2 * 4 + 1) + 2 * (3 * 4 + 1), "attention": 8 + 2 * 8}
@@ -588,37 +598,70 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
 
 
 def test_backward_releases_what_nodes_kept(monkeypatch):
+    # a backward rebuilds each attention's weights once, for the output
+    # projection's weight gradient and the node's own backward, and drops them
     model, batches = _desk_step()
     attention = ad.attention
-    weights = []
+    rebuilds = []  # per attention node, what each call of its rebuild returned
 
     def recording_attention(*args):
         out = attention(*args)
         fn = out._node.fn
-        kept = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
-        assert kept["w"].shape[-2:] == (out.shape[1], args[1].shape[1])  # the attention weights
-        weights.append(weakref.ref(kept["w"]))
+        cell = dict(zip(fn.__code__.co_freevars, fn.__closure__))["weights"]
+        rebuild, returned, shape = cell.cell_contents, [], (out.shape[1], args[1].shape[1])
+
+        def recording_rebuild():
+            w = rebuild()
+            assert w.shape[-2:] == shape  # the attention weights
+            assert not returned or returned[0]() is w  # one rebuild for both readers
+            returned.append(weakref.ref(w))
+            return w
+
+        cell.cell_contents = recording_rebuild  # the output's recipe reads the same cell
+        rebuilds.append(returned)
         return out
 
     monkeypatch.setattr(ad, "attention", recording_attention)
     root = _desk_step_root(model, batches)
     monkeypatch.undo()
-    gc.collect()
-    assert len(weights) > 5 and all(r() is not None for r in weights)
+    assert len(rebuilds) == 8 + 2 * 8 and not any(rebuilds)  # the forward rebuilds nothing
     backward(root)
     gc.collect()
-    assert all(r() is None for r in weights)
+    assert [len(returned) for returned in rebuilds] == [2] * len(rebuilds)
+    assert all(r() is None for returned in rebuilds for r in returned)
     nodes = [t for t in _graph(root) if isinstance(t, ad.Node)]
     assert nodes and all(n.fn is None and n.grad is None for n in nodes)
     assert all(n.recipe is None and n.rebuilt is None for n in nodes)  # nor what rebuilt arrays
     assert root.grad == 1.0
 
 
+def test_relu_rebuild_leaves_its_input_unkept():
+    # the second projection's weight gradient rebuilds the ReLU output from
+    # the first projection's recipe; no node keeps the pre-ReLU array for it
+    x, g, b, w1, b1, w2, b2 = [rand((2, 3, 4), 117), rand((4,), 118), rand((4,), 119),
+                               rand((4, 6), 120), rand((6,), 121), rand((6, 3), 122),
+                               rand((3,), 123)]
+    out = ad.linear(ad.linear(layer_norm(x, g, b), w1, b1).relu(), w2, b2)
+    relu_node = out._node.sinks[0]
+    first = relu_node.sinks[0]
+    relu_backward, held = relu_node.fn, []
+
+    def spy(grad, *sinks):
+        held.append(first.rebuilt)
+        relu_backward(grad, *sinks)
+
+    relu_node.fn = spy
+    backward(out.sum())
+    assert len(held) == 1 and held[0] is None
+    assert all(t.grad is not None for t in (x, g, b, w1, b1, w2, b2))
+
+
 # tracemalloc's traced bytes at the first backward of an 8-row baseline step
 # of 40-60 tokens, at the default shape and run whole: 40.7 MiB when the
 # projections kept the layer-norm, attention and ReLU outputs they read,
-# 25.7 MiB now that they rebuild them
-LONG_STEP_GRAPH_BUDGET = 33 * 2**20
+# 25.7-26.1 MiB when they rebuilt them but each attention kept its weights,
+# 15.4-15.8 MiB now that it keeps only its score rows' maxima and sums
+LONG_STEP_GRAPH_BUDGET = 20 * 2**20
 
 
 def test_a_long_steps_graph_stays_within_its_memory_budget():
@@ -741,10 +784,17 @@ def test_attention_leaves_inputs_and_incoming_gradient_alone(case):
         assert t.grad.shape == t.data.shape and t.grad.flags.c_contiguous
 
 
+def _one_unmasked_key_inputs():
+    """Queries and keys, 2 heads and a mask under which one row of the first
+    sentence has one unmasked key, with scores far beyond what exp can take
+    unshifted."""
+    return ([rand((2, 3, 4), 91, scale=30.0), rand((2, 5, 4), 92, scale=30.0),
+             rand((2, 5, 4), 93)], 2, _padding_mask([[0, 0, 1, 0, 0], [1, 1, 1, 1, 1]]))
+
+
 def test_attention_row_with_one_unmasked_key_stays_finite():
-    q, k, v = rand((2, 3, 4), 91, scale=30.0), rand((2, 5, 4), 92, scale=30.0), rand((2, 5, 4), 93)
-    mask = _padding_mask([[0, 0, 1, 0, 0], [1, 1, 1, 1, 1]])
-    out = ad.attention(q, k, v, 2, mask)
+    (q, k, v), n_heads, mask = _one_unmasked_key_inputs()
+    out = ad.attention(q, k, v, n_heads, mask)
     backward((out * rand(out.shape, 94, requires_grad=False)).sum())
     assert np.array_equal(out.data[0], np.broadcast_to(v.data[0, 2], (3, 4)))
     for t in (out, q, k, v):
@@ -871,6 +921,25 @@ def kept_layer_norm(x, gain, bias, eps=1e-5):
             ad._accumulate(sx, dx)
 
     return ad._make(out_data, (x, gain, bias), backward_fn)
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES) + ["one_unmasked_key"])
+def test_attention_equals_kept_attention(case):
+    # the weights a backward rebuilds from the score rows' maxima and sums
+    # are the forward's bit for bit, so nothing differs from kept weights
+    if case == "one_unmasked_key":
+        inputs, n_heads, mask = _one_unmasked_key_inputs()
+    else:
+        *_, n_heads, mask = ATTENTION_CASES[case]
+        inputs = _attention_inputs(case, 124)
+    weights = rand(inputs[0].shape, 127, requires_grad=False)
+    out, grads = _grads_of(lambda q, k, v: ad.attention(q, k, v, n_heads, mask),
+                           inputs, weights)
+    kept, kept_grads = _grads_of(lambda q, k, v: kept_attention(q, k, v, n_heads, mask),
+                                 inputs, weights)
+    assert np.array_equal(out, kept)
+    for grad, kept_grad in zip(grads, kept_grads):
+        assert np.array_equal(grad, kept_grad)
 
 
 KEPT_OPS = {"linear": kept_linear, "relu": kept_relu, "attention": kept_attention,
