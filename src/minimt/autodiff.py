@@ -13,6 +13,13 @@ pre-ReLU projection) is freed as soon as the model code drops its tensor.
 drops each closure, with the arrays it kept, once it has run. All
 arithmetic is float64.
 
+When nothing records (under ``no_grad``, or when no input needs a
+gradient), an op computes its output as it does when it records and returns
+it at once, as a bare tensor: it makes no backward closure, node, recipe or
+reader, and keeps no array for a backward. So an inference forward pays for
+its arithmetic and one small wrapper per op, and reads the same bits as a
+recording forward.
+
 A node may also hold a recipe: a function that rebuilds its output bit for
 bit, with the forward's own ufuncs and products, from arrays that a node or
 the model keeps anyway. ``layer_norm`` rebuilds ``xhat * gain + bias`` from
@@ -217,20 +224,33 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_new = object.__new__
+
+
+def constant(data) -> Tensor:
+    """A Tensor over ``data``, a float64 ndarray, taken as it is: no
+    conversion, no gradient, no node. It is what an op returns when it
+    records nothing, so its array must not be a numpy scalar."""
+    out = _new(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    out._node = None
+    return out
+
+
 def _records(inputs) -> bool:
     """Whether an op over ``inputs`` gives its output a node."""
     return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
 def _make(data, inputs, backward_fn, recipe=None):
-    """Build an op output, giving it a node only when a gradient must flow
-    to one of ``inputs``; ``backward_fn(g, *sinks)`` takes their sinks in order.
+    """A recorded op output: one with a node, for an op over ``inputs`` that
+    ``_records``. ``backward_fn(g, *sinks)`` takes their sinks in order;
     ``recipe``, if given, rebuilds ``data`` bit for bit (see ``Node.output``)."""
-    out = Tensor(data)
-    if _records(inputs):
-        out.requires_grad = True
-        out._node = Node(backward_fn, tuple([(t._node or t) if t.requires_grad else None
-                                             for t in inputs]), recipe)
+    out = Tensor(data, requires_grad=True)
+    out._node = Node(backward_fn, tuple([(t._node or t) if t.requires_grad else None
+                                         for t in inputs]), recipe)
     return out
 
 
@@ -276,10 +296,18 @@ def _unbroadcast(grad, shape):
 #
 # A closure's sinks line up with the op's inputs. An op with one input has a
 # node only if that input needs a gradient, so its sink is never None.
+#
+# Each op computes its output first. When it records nothing, it returns the
+# output there, before it makes a closure, a recipe or a node. An output of
+# ``constant`` must be an ndarray; ``add``, ``mul``, ``relu``, ``tensor_sum``
+# and ``cross_entropy`` can give a numpy scalar (from 0-d operands, or a sum
+# over every axis), so they return it through the checked constructor.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
+    if not _records((a, b)):
+        return Tensor(out_data)
     shapes = (a.data.shape, b.data.shape)
 
     def backward_fn(g, *sinks):
@@ -293,6 +321,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
+    if not _records((a, b)):
+        return Tensor(out_data)
     a_shape, b_shape = a.data.shape, b.data.shape
     # each operand's gradient reads the other operand: keep only those read
     a_data = a.data if b.requires_grad else None
@@ -313,6 +343,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     out_data = a.data @ b.data
+    if not _records((a, b)):
+        return constant(out_data)
     a_shape, b_shape = a.data.shape, b.data.shape
     read_a = _reader(a) if b.requires_grad else None
     read_b = _reader(b) if a.requires_grad else None
@@ -331,6 +363,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward_fn)
 
 
+def _affine(x_data, w_data, b_data):
+    """``x @ w + b``: ``linear``'s output, in its forward and its recipe."""
+    out = x_data @ w_data
+    out += b_data
+    return out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for a 2-D weight and a 1-D bias, as one graph node; it
     can be rebuilt when ``x`` can."""
@@ -340,13 +379,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear inner dimensions disagree: {x.data.shape} x {w.data.shape}")
     w_data, b_data = w.data, b.data
+    out_data = _affine(x.data, w_data, b_data)
+    if not _records((x, w, b)):
+        return constant(out_data)
     k, n = w_data.shape
-
-    def affine(x_data):
-        out = x_data @ w_data
-        out += b_data
-        return out
-
     read_x = _reader(x) if w.requires_grad else None
     rebuild_x = _rebuilder(x)
 
@@ -359,15 +395,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if sb is not None:
             _accumulate(sb, g2.sum(axis=0))
 
-    return _make(affine(x.data), (x, w, b), backward_fn,
-                 None if rebuild_x is None else lambda: affine(rebuild_x()))
+    return _make(out_data, (x, w, b), backward_fn,
+                 None if rebuild_x is None else lambda: _affine(rebuild_x(), w_data, b_data))
 
 
 def relu(x: Tensor) -> Tensor:
     """``max(x, 0)``; its node keeps only where the output is > 0, and it can
     be rebuilt when ``x`` can."""
     out_data = np.maximum(x.data, 0.0)
-    positive = out_data > 0.0 if _records((x,)) else None  # exactly where x > 0
+    if not _records((x,)):
+        return Tensor(out_data)
+    positive = out_data > 0.0  # exactly where x > 0
     # x's recipe, not its node's output: no backward reads x, so no node keeps it
     recipe_x = None if x._node is None else x._node.recipe
 
@@ -380,6 +418,8 @@ def relu(x: Tensor) -> Tensor:
 
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    if not _records((x,)):
+        return Tensor(out_data)
     shape = x.data.shape
 
     def backward_fn(g, sx):
@@ -402,8 +442,10 @@ def tensor_mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    old_shape = x.data.shape
     out_data = x.data.reshape(shape)
+    if not _records((x,)):
+        return constant(out_data)
+    old_shape = x.data.shape
 
     def backward_fn(g, sx):
         _accumulate(sx, g.reshape(old_shape).copy())
@@ -413,6 +455,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     out_data = x.data.transpose(axes)
+    if not _records((x,)):
+        return constant(out_data)
 
     def backward_fn(g, sx):
         inv = None if axes is None else tuple(np.argsort(axes))
@@ -424,6 +468,8 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _records(tensors):
+        return constant(out_data)
     sizes = [t.data.shape[axis] for t in tensors]
 
     def backward_fn(g, *sinks):
@@ -445,12 +491,28 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
+    if not _records((x,)):
+        return constant(out_data)
 
     def backward_fn(g, sx):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
         _accumulate(sx, out_data * (g - dot))
 
     return _make(out_data, (x,), backward_fn)
+
+
+def _heads(x, n_heads):
+    """(B, T, d) -> (B, heads, T, d_head), as a view."""
+    b, t, d = x.shape
+    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge(x):
+    """(B, heads, T, d_head) -> (B, T, d), C-contiguous: handed a strided view,
+    the projections' backward products take another BLAS path and round
+    differently."""
+    b, n_heads, t, d_head = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, t, n_heads * d_head)
 
 
 def _attention_scores(qh, kh, scale, mask):
@@ -468,8 +530,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
 
     ``q`` is (B, S, d); ``k`` and ``v`` are (B, T, d). Each is split into
     ``n_heads`` heads of width ``d_head = d / n_heads`` as views. ``mask`` is
-    an additive array that broadcasts to the (B, heads, S, T) scores. Returns
-    the heads' contexts merged back to (B, S, d). The scores are scaled,
+    an additive array that broadcasts to the (B, heads, S, T) scores, or
+    None. Returns the heads' contexts merged back to (B, S, d). The scores are scaled,
     masked and normalized in place, and the node keeps no (B, heads, S, T)
     array: only each score row's maximum and sum of exponentials, from which
     a backward rebuilds the weights, once, for the output's recipe and the
@@ -481,25 +543,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
         raise ShapeError(f"attention needs (B, S, d) queries and matching (B, T, d) keys "
                          f"and values with d divisible by {n_heads} heads, got shapes "
                          f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
-    d_head = d // n_heads
-    scale = 1.0 / math.sqrt(d_head)
-
-    def heads(x):  # (B, T, d) -> (B, heads, T, d_head)
-        return x.reshape(x.shape[0], x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
-
-    # C-contiguous: handed a strided view, the projections' backward products
-    # take another BLAS path and round differently
-    def merge(x):  # (B, heads, T, d_head) -> (B, T, d)
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(x.shape[0], x.shape[2], d)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scale = 1.0 / math.sqrt(d // n_heads)
+    qh, kh, vh = _heads(q.data, n_heads), _heads(k.data, n_heads), _heads(v.data, n_heads)
     w = _attention_scores(qh, kh, scale, mask)
     row_max = w.max(axis=-1, keepdims=True)
     w -= row_max
     np.exp(w, out=w)
     row_sum = w.sum(axis=-1, keepdims=True)
     w /= row_sum
-    out_data = merge(w @ vh)
+    out_data = _merge(w @ vh)
+    if not _records((q, k, v)):
+        return constant(out_data)
     rebuilt = []  # the weights, once a backward has rebuilt them
 
     def weights():
@@ -514,25 +568,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
         return rebuilt[0]
 
     def contexts():
-        return merge(weights() @ vh)
+        return _merge(weights() @ vh)
 
     def backward_fn(g, sq, sk, sv):
         w = weights()
-        gh = heads(g)
+        gh = _heads(g, n_heads)
         if sv is not None:
-            _accumulate(sv, merge(w.swapaxes(-1, -2) @ gh))
+            _accumulate(sv, _merge(w.swapaxes(-1, -2) @ gh))
         dw = gh @ vh.swapaxes(-1, -2)  # the weights' gradient, turned in place into the scores'
         dot = (dw * w).sum(axis=-1, keepdims=True)
         dw -= dot
         dw *= w
         dw *= scale
         if sq is not None:
-            _accumulate(sq, merge(dw @ kh))
+            _accumulate(sq, _merge(dw @ kh))
         if sk is not None:
             dkt = qh.swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
-            _accumulate(sk, merge(dkt.swapaxes(-1, -2)))
+            _accumulate(sk, _merge(dkt.swapaxes(-1, -2)))
 
     return _make(out_data, (q, k, v), backward_fn, contexts)
+
+
+def _scaled(xhat, gain_data, bias_data, out=None):
+    """``xhat * gain + bias``, into ``out`` if given: ``layer_norm``'s output,
+    in its forward and its recipe."""
+    out = np.multiply(xhat, gain_data, out=out)
+    out += bias_data
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -557,11 +619,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     np.divide(1.0, inv, out=inv)
     xhat *= inv
     gain_data, bias_data = gain.data, bias.data
-
-    def scaled():
-        out = xhat * gain_data
-        out += bias_data
-        return out
+    if not _records((x, gain, bias)):  # no backward reads xhat: scale it in place
+        return constant(_scaled(xhat, gain_data, bias_data, out=xhat))
 
     def backward_fn(g, sx, sgain, sbias):
         if sbias is not None:
@@ -581,7 +640,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dx *= inv
             _accumulate(sx, dx)
 
-    return _make(scaled(), (x, gain, bias), backward_fn, scaled)
+    return _make(_scaled(xhat, gain_data, bias_data), (x, gain, bias), backward_fn,
+                 lambda: _scaled(xhat, gain_data, bias_data))
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -593,6 +653,8 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(f"embedding id out of range [0, {vocab}): min={ids.min()}, max={ids.max()}")
     out_data = table.data[ids]
+    if not _records((table,)):
+        return constant(out_data)
     shape = table.data.shape
 
     def backward_fn(g, st):
@@ -628,6 +690,8 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int) -> Tensor:
     picked = np.take_along_axis(logits.data, safe_targets[..., None], axis=-1)[..., 0]
     per_pos = (lse[..., 0] - picked) * mask
     out_data = per_pos.sum() / n_valid
+    if not _records((logits,)):
+        return Tensor(out_data)
     logits_data = logits.data
 
     def backward_fn(g, sl):

@@ -115,14 +115,24 @@ class _Init:
 NEG_MASK = -1e9  # additive attention mask; large finite value keeps backward NaN-free
 
 
-def padding_attention_mask(mask: np.ndarray) -> np.ndarray:
-    """(B, T) 1/0 mask -> (B, 1, 1, T) additive mask over attention keys."""
+# A mask that would add only -0.0 is None instead: adding -0.0 changes no
+# score, so attention skips that pass over the scores.
+
+
+def padding_attention_mask(mask: np.ndarray) -> np.ndarray | None:
+    """(B, T) 1/0 mask -> (B, 1, 1, T) additive mask over attention keys, or
+    None when every key is real."""
+    if mask.all():
+        return None
     return ((1.0 - mask) * NEG_MASK)[:, None, None, :]
 
 
-def causal_attention_mask(t: int, offset: int = 0) -> np.ndarray:
+def causal_attention_mask(t: int, offset: int = 0) -> np.ndarray | None:
     """Additive mask for ``t`` new positions that follow ``offset`` cached
-    ones: position ``offset + i`` sees keys ``0 .. offset + i``."""
+    ones: position ``offset + i`` sees keys ``0 .. offset + i``. None for one
+    new position, which sees every key."""
+    if t == 1:
+        return None
     return (np.triu(np.ones((t, offset + t)), k=offset + 1) * NEG_MASK)[None, None, :, :]
 
 
@@ -262,11 +272,11 @@ class DecoderCache:
         (an index array; rows may repeat) and whose row i cross-attends to
         encoder row ``sources[i]``."""
         out = copy.copy(self)
-        out.past = [None if kv is None else tuple(Tensor(t.data[rows]) for t in kv)
+        out.past = [None if kv is None else tuple(ad.constant(t.data[rows]) for t in kv)
                     for kv in self.past]
         if not np.array_equal(sources, self.sources):
             out.sources = sources
-            out.cross = [tuple(Tensor(t.data[sources]) for t in kv) for kv in self.by_source]
+            out.cross = [tuple(ad.constant(t.data[sources]) for t in kv) for kv in self.by_source]
         return out
 
 
@@ -313,6 +323,8 @@ class Transformer:
         self.positions = sinusoidal_positions(config.max_len, config.d_model)
         self.training = True
         self._dropout_rng = np.random.default_rng([config.seed, 0xD0])
+        # the registry is fixed here; a deepcopy's tuple holds the copy's tensors
+        self._parameters = tuple(t for _, t in self.named_parameters())
 
     @property
     def multitask(self) -> bool:
@@ -373,7 +385,7 @@ class Transformer:
             yield from named_params(self.decoder_clm, "decoder_clm")
 
     def parameters(self):
-        return [t for _, t in self.named_parameters()]
+        return list(self._parameters)
 
     def param_dict(self):
         return dict(self.named_parameters())

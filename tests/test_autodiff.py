@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from minimt.autodiff import (
     grad_check,
     layer_norm,
     matmul,
+    no_grad,
     softmax,
 )
 
@@ -996,6 +998,112 @@ def test_rebuilt_arrays_equal_kept_ones(case):
     for n, g in grads.items():
         assert np.array_equal(g, kept_grads[n]), n
         assert np.array_equal(params[n], kept_params[n]), n
+
+
+# --- graph-free ops: what an op returns when nothing records --------------------
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_without_a_mask_equals_an_all_negative_zero_mask(case):
+    # the model passes None for a mask that would add only -0.0
+    b, s, t, _, n_heads, _ = ATTENTION_CASES[case]
+    inputs = _attention_inputs(case, 130)
+    weights = rand(inputs[0].shape, 133, requires_grad=False)
+    out, grads = _grads_of(lambda q, k, v: ad.attention(q, k, v, n_heads), inputs, weights)
+    masked, masked_grads = _grads_of(
+        lambda q, k, v: ad.attention(q, k, v, n_heads, np.full((b, 1, s, t), -0.0)),
+        inputs, weights)
+    assert np.array_equal(out, masked)
+    for grad, masked_grad in zip(grads, masked_grads):
+        assert np.array_equal(grad, masked_grad)
+
+
+def _perturbed_desk_model(multitask):
+    """A desk-shape model, its parameters perturbed by N(0, 0.1), and a desk
+    step's batches of 16 sentences of 3-8 tokens."""
+    model, batches = _step(multitask=multitask)
+    rng = np.random.default_rng(75)
+    for p in model.parameters():
+        p.data += rng.normal(0.0, 0.1, p.shape)
+    return model, batches
+
+
+def _desk_forwards(model, batches):
+    """The translation logits, the CLM logits (multitask only) and the
+    validation loss of a desk step's batches."""
+    from minimt import training
+
+    parallel, src_mono, tgt_mono = batches
+    out = {"translation_logits": model.translation_logits(parallel),
+           "validation_loss": training.validation_loss(model, None, None, [parallel])}
+    if model.multitask:
+        out["clm_logits"] = model.clm_logits([src_mono, tgt_mono])
+    return out
+
+
+def _count_nodes(monkeypatch):
+    """A list that gets one entry per ``Node`` made from now on."""
+    made, init = [], ad.Node.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", counting_init)
+    return made
+
+
+@pytest.mark.parametrize("multitask", [False, True], ids=["baseline", "multitask"])
+def test_graph_free_forward_equals_recorded_one(multitask, monkeypatch):
+    # an op that records nothing returns the very output it computes when it
+    # records, so inference and validation read a training forward's bits
+    from minimt import training
+
+    model, batches = _perturbed_desk_model(multitask)
+    with no_grad():
+        free = _desk_forwards(model, batches)
+    monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
+    made = _count_nodes(monkeypatch)
+    recorded = _desk_forwards(model, batches)
+    assert made and all(t._node is not None for n, t in recorded.items() if n != "validation_loss")
+    assert free.keys() == recorded.keys() == {"translation_logits", "validation_loss"} | (
+        {"clm_logits"} if multitask else set())
+    assert free.pop("validation_loss") == recorded.pop("validation_loss")
+    for name, t in free.items():
+        assert t._node is None and not t.requires_grad, name
+        assert np.array_equal(t.data, recorded[name].data), name
+
+
+def test_graph_free_beam_search_equals_recorded_one(monkeypatch):
+    from minimt import decoding
+
+    model, (parallel, _, _) = _perturbed_desk_model(False)
+    sources = [row[mask > 0].tolist() for row, mask in zip(parallel.src[:3], parallel.src_mask[:3])]
+    assert len({len(s) for s in sources}) > 1  # the batch's cross-attention masks PAD keys
+    config = decoding.DecodeConfig(eos_id=sources[0][-1], start_id=int(parallel.tgt_in[0, 0]),
+                                   beam_size=3, max_decode_len=8)
+
+    def hypotheses():
+        runs = [decoding.beam_search(model, s, config) for s in sources]
+        runs += decoding.beam_search_batch(model, sources, config)
+        return [[(h.tokens, h.logprob_sum, h.score) for h in hyps] for hyps in runs]
+
+    shipped = hypotheses()
+    monkeypatch.setattr(decoding, "no_grad", contextlib.nullcontext)
+    made = _count_nodes(monkeypatch)
+    recorded = hypotheses()
+    assert made  # the patched search recorded its graph
+    assert recorded == shipped
+
+
+@pytest.mark.parametrize("multitask", [False, True], ids=["baseline", "multitask"])
+def test_a_no_grad_forward_makes_no_node(multitask, monkeypatch):
+    model, batches = _perturbed_desk_model(multitask)
+    made = _count_nodes(monkeypatch)
+    with no_grad():
+        _desk_forwards(model, batches)
+    assert made == []
+    _desk_forwards(model, batches)
+    assert made  # the spy sees the nodes a recording forward makes
 
 
 @pytest.mark.parametrize("name,fn,inputs", [

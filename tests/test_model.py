@@ -9,10 +9,13 @@ from minimt.autodiff import Tensor, cross_entropy, grad_check
 from minimt.data import MonoBatch, ParallelBatch
 from minimt.model import (
     FreezeSpec,
+    NEG_MASK,
     ModelConfig,
     apply_freeze,
+    causal_attention_mask,
     init_params,
     named_params,
+    padding_attention_mask,
     parameter_count,
     sinusoidal_positions,
 )
@@ -140,6 +143,17 @@ def test_max_len_leaves_room_for_tag_token_and_eos(max_len):
 
 
 # --- encoder ------------------------------------------------------------------
+
+def test_masks_that_would_add_only_negative_zero_are_none():
+    assert padding_attention_mask(np.ones((3, 5))) is None
+    assert causal_attention_mask(1) is None and causal_attention_mask(1, 7) is None
+    padding = padding_attention_mask(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+    assert padding.shape == (2, 1, 1, 3)
+    assert padding[0, 0, 0, 2] == NEG_MASK and not padding[1].any()
+    causal = causal_attention_mask(2, 3)
+    assert causal.shape == (1, 1, 2, 5)
+    assert causal[0, 0, 0, 4] == NEG_MASK and not causal[0, 0, 1].any()
+
 
 def test_encoder_output_shape():
     model = init_params(tiny_config())

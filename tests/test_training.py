@@ -1480,8 +1480,10 @@ def test_weight_zero_mtl_is_the_baseline_at_desk_shape(tmp_path, monkeypatch):
     ("row shards", False, (40, 60)),
     ("whole", False, (3, 8)),  # a desk baseline step
 ])
-def test_a_warm_step_walks_the_parameter_registry_once(tmp_path, monkeypatch, kind, multitask,
-                                                       lengths):
+def test_a_step_never_walks_the_parameter_registry(tmp_path, monkeypatch, kind, multitask,
+                                                   lengths):
+    # the model lists its parameters once, when it is built, and a replica
+    # inherits its own list from the deepcopy
     monkeypatch.setattr(training, "_usable_cores", lambda: 2)
     data = synthetic_data(tmp_path, 32, 32, seed=3, vocab_size=30, min_len=lengths[0],
                           max_len=lengths[1])
@@ -1500,11 +1502,28 @@ def test_a_warm_step_walks_the_parameter_registry_once(tmp_path, monkeypatch, ki
     bd = train_step(model, *batches, opt)  # the first step of a split kind makes its replica
     assert (bd.split, len(training.step_parts(model, batches)[1])) == {
         "task split": ("tasks", 2), "row shards": ("rows", 2), "whole": ("whole", 1)}[kind]
-    walks.clear()
     for _ in range(3):
         train_step(model, *batches, opt)
-    assert walks == [model] * 3
+    assert walks == []
     assert (model in training._replicas) == (kind != "whole")
+
+
+def test_a_replica_lists_and_zeroes_its_own_parameters(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    model = init_params(ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_enc_layers=2,
+                                    n_dec_layers=1, d_ff=16, max_len=10), multitask=True)
+    (replica, pairs), = training._replicas_of(model, 1)
+    for m in (model, copy.deepcopy(model)):
+        params = m.parameters()
+        assert [id(p) for p in params] == [id(t) for _, t in m.named_parameters()]
+    assert [r for _, r in pairs] == replica.parameters()
+    assert [p for p, _ in pairs] == model.parameters()
+    assert not {id(p) for p in replica.parameters()} & {id(p) for p in model.parameters()}
+    for p in model.parameters() + replica.parameters():
+        p.grad = np.ones_like(p.data)
+    zero_grads(replica.parameters())
+    assert all(p.grad is None for p in replica.parameters())
+    assert all(p.grad is not None for p in model.parameters())
 
 
 # --- convergence smoke ------------------------------------------------------------
