@@ -30,19 +30,21 @@ itself keeps only a boolean mask of where its output is positive.
 ``attention`` rebuilds its weights too, from its inputs and the scores' row
 maxima and sums, once per backward: its output's recipe and its own
 backward share them. ``linear`` and ``matmul`` read an input for a weight
-gradient; where that input has a recipe they keep its node's ``output``
-instead of the array. The first backward that calls it rebuilds the array,
-and the node keeps it until its own backward, which runs after every
-reader's, so the readers share one rebuild. So a layer norm's output, an
-attention's and a ReLU's live only while the model code holds them, and
-again briefly during backward. A recipe reads its arrays when it runs, so
-the parameters must not be written between a forward and its backward.
+gradient, and ``attention`` reads its three inputs; where an input has a
+recipe they keep its node's ``output`` instead of the array. The first
+backward that calls it rebuilds the array, and the node keeps it until its
+own backward, which runs after every reader's, so the readers share one
+rebuild. So a layer norm's output, the q, k and v projections over it, an
+attention's output and a ReLU's live only while the model code holds them,
+and again briefly during backward. A recipe reads its arrays when it runs,
+so the parameters must not be written between a forward and its backward.
 
 Two fused ops carry the model: ``linear(x, w, b)`` is ``x @ w + b`` as one
 node, for every projection, and ``attention(q, k, v, n_heads, mask)`` is a
 whole multi-head scaled dot-product attention between the projections as
-one node, which keeps for backward only each score row's maximum and sum,
-besides the projections it reads. Gradients are owned: the first array a
+one node, which keeps for backward only each score row's maximum and sum
+and a reader for each projection, which holds the array only where the
+projection has no recipe. Gradients are owned: the first array a
 backward closure hands to a sink becomes that sink's ``grad`` (later ones
 are added in place), so a closure passes only arrays that nothing else
 holds, and copies where it would otherwise pass a view of its incoming
@@ -535,7 +537,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     masked and normalized in place, and the node keeps no (B, heads, S, T)
     array: only each score row's maximum and sum of exponentials, from which
     a backward rebuilds the weights, once, for the output's recipe and the
-    node's own backward to share.
+    node's own backward to share. It reads ``q``, ``k`` and ``v`` through
+    ``_reader``, so a projection with a recipe is rebuilt, not kept.
     """
     d = q.data.shape[-1]
     if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape \
@@ -554,13 +557,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     out_data = _merge(w @ vh)
     if not _records((q, k, v)):
         return constant(out_data)
+    # q, k and v are read through their nodes' recipes where they have one,
+    # so the projections die with their tensors and come back in backward
+    read_q, read_k, read_v = _reader(q), _reader(k), _reader(v)
     rebuilt = []  # the weights, once a backward has rebuilt them
+
+    def heads(read):
+        return _heads(read(), n_heads)
 
     def weights():
         """The forward's weights, bit for bit: its ufuncs over its scores, with
         the row maxima and sums it found instead of both reductions."""
         if not rebuilt:
-            w = _attention_scores(qh, kh, scale, mask)
+            w = _attention_scores(heads(read_q), heads(read_k), scale, mask)
             w -= row_max
             np.exp(w, out=w)
             w /= row_sum
@@ -568,22 +577,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
         return rebuilt[0]
 
     def contexts():
-        return _merge(weights() @ vh)
+        return _merge(weights() @ heads(read_v))
 
     def backward_fn(g, sq, sk, sv):
         w = weights()
         gh = _heads(g, n_heads)
         if sv is not None:
             _accumulate(sv, _merge(w.swapaxes(-1, -2) @ gh))
-        dw = gh @ vh.swapaxes(-1, -2)  # the weights' gradient, turned in place into the scores'
+        # the weights' gradient, turned in place into the scores'
+        dw = gh @ heads(read_v).swapaxes(-1, -2)
         dot = (dw * w).sum(axis=-1, keepdims=True)
         dw -= dot
         dw *= w
         dw *= scale
         if sq is not None:
-            _accumulate(sq, _merge(dw @ kh))
+            _accumulate(sq, _merge(dw @ heads(read_k)))
         if sk is not None:
-            dkt = qh.swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
+            dkt = heads(read_q).swapaxes(-1, -2) @ dw  # (B, heads, d_head, T), as kᵀ's gradient
             _accumulate(sk, _merge(dkt.swapaxes(-1, -2)))
 
     return _make(out_data, (q, k, v), backward_fn, contexts)

@@ -546,11 +546,15 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
     # layer-norm, attention and ReLU outputs are read by the projections
     # after them, which rebuild them from what other nodes keep instead, and
     # each attention's weights are rebuilt from its score rows' maxima and sums.
+    # The q, k and v projections that attention reads are rebuilt from the
+    # layer-norm output below them, except the CLM cross-attention's keys and
+    # values, which project a gather of the stub encoding and have no recipe.
     model, batches = _desk_step()
     add, relu, layer_norm, attention = ad.add, ad.relu, ad.layer_norm, ad.attention
     scores = ad._attention_scores
     sums, pre_relu, weights = [], [], []
     rebuilt = {"relu": [], "layer_norm": [], "attention": []}
+    projections = {True: [], False: []}  # by whether the projection has a recipe
 
     def recording_scores(*args):
         out = scores(*args)  # normalized in place into the attention weights
@@ -577,10 +581,16 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
         pre_relu.append(weakref.ref(x.data))
         return recording("relu", relu)(x)
 
+    def recording_attention(*args):
+        for t in args[:3]:
+            assert t.data.base is None
+            projections[t._node.recipe is not None].append(weakref.ref(t.data))
+        return recording("attention", attention)(*args)
+
     monkeypatch.setattr(ad, "add", recording_add)
     monkeypatch.setattr(ad, "relu", recording_relu)
     monkeypatch.setattr(ad, "layer_norm", recording("layer_norm", layer_norm))
-    monkeypatch.setattr(ad, "attention", recording("attention", attention))
+    monkeypatch.setattr(ad, "attention", recording_attention)
     monkeypatch.setattr(ad, "_attention_scores", recording_scores)
     root = _desk_step_root(model, batches)
     monkeypatch.undo()
@@ -595,18 +605,39 @@ def test_arrays_no_backward_reads_die_with_their_tensors(monkeypatch):
         "relu": 16, "layer_norm": 2 * (2 * 4 + 1) + 2 * (3 * 4 + 1), "attention": 8 + 2 * 8}
     assert {name: sum(r() is not None for r in refs) for name, refs in rebuilt.items()} == \
         dict.fromkeys(rebuilt, 0)
+    # q, k and v of 24 attentions; the 4 CLM cross-attentions' keys and values are kept
+    assert {has: len(refs) for has, refs in projections.items()} == {True: 3 * 24 - 8, False: 8}
+    assert all(r() is None for r in projections[True])
+    assert all(r() is not None for r in projections[False])
     backward(root)
     assert all(p.grad is not None for p in model.parameters())
 
 
 def test_backward_releases_what_nodes_kept(monkeypatch):
     # a backward rebuilds each attention's weights once, for the output
-    # projection's weight gradient and the node's own backward, and drops them
+    # projection's weight gradient and the node's own backward, and drops them;
+    # each q, k and v projection with a recipe is rebuilt once, for the
+    # weights, the contexts and the attention's backward, and dropped too
     model, batches = _desk_step()
     attention = ad.attention
     rebuilds = []  # per attention node, what each call of its rebuild returned
+    projections = []  # per q, k and v node with a recipe, what each call of it returned
+
+    def spy_on_recipe(node):
+        recipe, returned = node.recipe, []
+
+        def recording_recipe():
+            out = recipe()
+            returned.append(weakref.ref(out))
+            return out
+
+        node.recipe = recording_recipe
+        projections.append(returned)
 
     def recording_attention(*args):
+        for t in args[:3]:
+            if t._node.recipe is not None:
+                spy_on_recipe(t._node)
         out = attention(*args)
         fn = out._node.fn
         cell = dict(zip(fn.__code__.co_freevars, fn.__closure__))["weights"]
@@ -627,10 +658,13 @@ def test_backward_releases_what_nodes_kept(monkeypatch):
     root = _desk_step_root(model, batches)
     monkeypatch.undo()
     assert len(rebuilds) == 8 + 2 * 8 and not any(rebuilds)  # the forward rebuilds nothing
+    assert len(projections) == 3 * 24 - 8 and not any(projections)
     backward(root)
     gc.collect()
     assert [len(returned) for returned in rebuilds] == [2] * len(rebuilds)
     assert all(r() is None for returned in rebuilds for r in returned)
+    assert [len(returned) for returned in projections] == [1] * len(projections)
+    assert all(r() is None for returned in projections for r in returned)
     nodes = [t for t in _graph(root) if isinstance(t, ad.Node)]
     assert nodes and all(n.fn is None and n.grad is None for n in nodes)
     assert all(n.recipe is None and n.rebuilt is None for n in nodes)  # nor what rebuilt arrays
@@ -662,8 +696,9 @@ def test_relu_rebuild_leaves_its_input_unkept():
 # of 40-60 tokens, at the default shape and run whole: 40.7 MiB when the
 # projections kept the layer-norm, attention and ReLU outputs they read,
 # 25.7-26.1 MiB when they rebuilt them but each attention kept its weights,
-# 15.4-15.8 MiB now that it keeps only its score rows' maxima and sums
-LONG_STEP_GRAPH_BUDGET = 20 * 2**20
+# 15.4-15.8 MiB when it kept only its score rows' maxima and sums besides its
+# q, k and v, 7.2 MiB now that it rebuilds those from the layer-norm outputs
+LONG_STEP_GRAPH_BUDGET = 10 * 2**20
 
 
 def test_a_long_steps_graph_stays_within_its_memory_budget():
@@ -1106,6 +1141,22 @@ def test_a_no_grad_forward_makes_no_node(multitask, monkeypatch):
     assert made  # the spy sees the nodes a recording forward makes
 
 
+def layer_norm_qkv_attention_linear(mask):
+    """A layer norm, its q, k and v projections, attention over them and the
+    output projection, as in the model: the attention reads q, k and v
+    rebuilt from the layer norm's output."""
+    def fn(x, g, b, wq, bq, wk, bk, wv, bv, wo, bo):
+        h = layer_norm(x, g, b)
+        qkv = [ad.linear(h, w, c) for w, c in ((wq, bq), (wk, bk), (wv, bv))]
+        return ad.linear(ad.attention(*qkv, 2, mask), wo, bo)
+    return fn
+
+
+def _layer_norm_qkv_inputs(seed):
+    return [rand((2, 3, 4), seed), rand((4,), seed + 1), rand((4,), seed + 2)] + [
+        rand(shape, seed + 3 + i) for i, shape in enumerate([(4, 4), (4,)] * 4)]
+
+
 @pytest.mark.parametrize("name,fn,inputs", [
     ("layer_norm_linear", lambda x, g, b, w, c: ad.linear(layer_norm(x, g, b), w, c),
      [rand((2, 3, 5), 100), rand((5,), 101), rand((5,), 102), rand((5, 4), 103),
@@ -1120,10 +1171,17 @@ def test_a_no_grad_forward_makes_no_node(multitask, monkeypatch):
         ad.linear(layer_norm(x, g, b), w1, b1).relu(), w2, b2),
      [rand((2, 3, 4), 110), rand((4,), 111), rand((4,), 112), rand((4, 6), 113),
       rand((6,), 114), rand((6, 3), 115), rand((3,), 116)]),
+    ("layer_norm_qkv_attention_linear", layer_norm_qkv_attention_linear(None),
+     _layer_norm_qkv_inputs(140)),
+    ("layer_norm_qkv_attention_linear_padding",
+     layer_norm_qkv_attention_linear(_padding_mask([[1, 1, 1], [1, 1, 0]])),
+     _layer_norm_qkv_inputs(160)),
 ])
 def test_ops_that_read_a_rebuilt_input_pass_grad_check(name, fn, inputs):
     out = fn(*inputs)
     assert out._node.sinks[0].recipe is not None  # the outer linear's input can be rebuilt
+    if "qkv" in name:  # and so can the attention's q, k and v
+        assert all(s.recipe is not None for s in out._node.sinks[0].sinks)
     if name.endswith("relu_linear"):  # the hidden units are off ReLU's kink
         x, g, b, w1, b1 = inputs[:5]
         assert np.abs(layer_norm(x, g, b).data @ w1.data + b1.data).min() > 1e-3
